@@ -24,7 +24,7 @@ use serde::{Deserialize, Value};
 use suu_core::ObliviousSchedule;
 use suu_service::{
     drive_session, execute_oblivious, open_session_line, DriveConfig, SchedulerService,
-    ServiceConfig,
+    ServiceConfig, StageContext,
 };
 use suu_workloads::{session_scenarios, SessionScenario};
 
@@ -53,7 +53,10 @@ fn run_scenario(
     // Revision 0 — the schedule both arms start from — comes from the
     // service itself, so the oblivious arm executes exactly what a
     // non-adaptive client would have been handed.
-    let open = service.handle_line(&open_session_line(1, &scenario.instance));
+    let open = service.handle(
+        &open_session_line(1, &scenario.instance),
+        &StageContext::now(0),
+    );
     let value = serde_json::parse(&open).expect("open_session response parses");
     assert_eq!(
         value.get("ok"),
@@ -85,7 +88,7 @@ fn run_scenario(
         let oblivious =
             execute_oblivious(&scenario.instance, &schedule0, &cfg).unwrap_or(MAX_STEPS as u64);
         let run = drive_session(&scenario.instance, &cfg, |line| {
-            Some(service.handle_line(line))
+            Some(service.handle(line, &StageContext::now(0)))
         })
         .expect("in-process session drives");
         let adaptive = run.steps.unwrap_or(MAX_STEPS as u64);

@@ -60,7 +60,6 @@ pub fn registry() -> Vec<(&'static str, ExperimentRunner)> {
         ("service_throughput", |c| {
             vec![
                 service_throughput::run_sweep(c),
-                service_throughput::run_comparison(c),
                 service_throughput::run_detail_comparison(c),
                 service_throughput::run_attribution(c),
                 service_throughput::run_warm_comparison(c),

@@ -1,74 +1,37 @@
 //! S1: throughput of the `suu-service` serving layer.
 //!
-//! Two parts:
-//!
-//! 1. A closed-loop sweep over every load-generator scenario against the
-//!    (default, pipelined) service — achieved requests/sec, cache
-//!    effectiveness, latency percentiles. The acceptance floor tracked from
-//!    this experiment onward is ≥ 100 req/s on mixed small instances.
-//! 2. A pipelined-vs-serial comparison on the bursty multi-tenant scenario:
-//!    the same request pool is replayed against (a) the serial
-//!    per-connection baseline with a closed-loop client and (b) the
-//!    pipelined executor with an open-loop client, asserting that the
-//!    response payloads are identical modulo ordering and reporting the
-//!    speedup plus the fresh-solve counts (the single-flight layer and the
-//!    shared solve queue eliminate the duplicate solves that racing serial
-//!    connections pay).
+//! * S1 — a closed-loop sweep over every load-generator scenario: achieved
+//!   requests/sec, cache effectiveness, latency percentiles. The acceptance
+//!   floor tracked from this experiment onward is ≥ 100 req/s on mixed
+//!   small instances.
+//! * S1c — response projection, `detail: full` vs `detail: no_schedule`.
+//! * S1d — server-side latency attribution per request-lifecycle stage.
+//! * S1e — warm-start delta solving, cold vs warm.
 
 use std::sync::Arc;
 
 use suu_service::{
-    run_loadgen, spawn_tcp, tenant_drift_bases, Detail, ExecutionMode, LoadReport, LoadgenConfig,
-    MetricsSnapshot, PipelineConfig, Request, SchedulerService, ServiceConfig, TcpServerConfig,
+    run_loadgen, spawn_tcp, tenant_drift_bases, Detail, LoadReport, LoadgenConfig, MetricsSnapshot,
+    Request, Response, SchedulerService, ServiceConfig, StageContext, TcpServerConfig,
 };
 
 use crate::report::{f2, Table};
 use crate::RunConfig;
 
-/// One run of a scenario against a freshly spawned in-process service.
+/// One run of a scenario against a freshly spawned in-process service, with
+/// an optional `detail` response projection and/or per-request stage tracing
+/// on every request.
 fn run_mode(
     scenario: &str,
     total_requests: usize,
     seed: u64,
-    mode: ExecutionMode,
     max_in_flight: usize,
-    collect_payloads: bool,
-) -> (LoadReport, MetricsSnapshot) {
-    run_mode_with_detail(
-        scenario,
-        total_requests,
-        seed,
-        mode,
-        max_in_flight,
-        collect_payloads,
-        None,
-        false,
-    )
-}
-
-/// [`run_mode`] with an explicit `detail` response projection and/or
-/// per-request stage tracing on every request.
-#[allow(clippy::too_many_arguments)]
-fn run_mode_with_detail(
-    scenario: &str,
-    total_requests: usize,
-    seed: u64,
-    mode: ExecutionMode,
-    max_in_flight: usize,
-    collect_payloads: bool,
     detail: Option<Detail>,
     trace: bool,
 ) -> (LoadReport, MetricsSnapshot) {
     let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
-    let handle = spawn_tcp(
-        Arc::clone(&service),
-        &TcpServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 4,
-            mode,
-        },
-    )
-    .expect("ephemeral bind succeeds");
+    let handle = spawn_tcp(Arc::clone(&service), &TcpServerConfig::default())
+        .expect("ephemeral bind succeeds");
     let report = run_loadgen(&LoadgenConfig {
         addr: handle.addr().to_string(),
         scenario: scenario.to_string(),
@@ -76,7 +39,7 @@ fn run_mode_with_detail(
         total_requests,
         target_rps: None,
         max_in_flight,
-        collect_payloads,
+        collect_payloads: false,
         deadline_ms: None,
         detail,
         trace,
@@ -106,14 +69,7 @@ pub fn run_sweep(config: &RunConfig) -> Table {
     );
     let total_requests = if config.quick { 120 } else { 600 };
     for scenario in ["mixed", "grid", "project", "bursty"] {
-        let (report, _) = run_mode(
-            scenario,
-            total_requests,
-            config.seed,
-            ExecutionMode::default(),
-            1,
-            false,
-        );
+        let (report, _) = run_mode(scenario, total_requests, config.seed, 1, None, false);
         assert_eq!(report.errors, 0, "scenario {scenario} produced errors");
         assert_eq!(report.busy, 0, "closed loop must never overflow the queue");
         table.push_row(vec![
@@ -128,130 +84,6 @@ pub fn run_sweep(config: &RunConfig) -> Table {
     }
     table.push_note("acceptance floor: >= 100 req/s on mixed small instances");
     table.push_note("latency is end-to-end client-observed (connect/solve/serialise)");
-    table
-}
-
-/// Runs the pipelined-vs-serial comparison on the bursty scenario.
-///
-/// # Panics
-///
-/// Panics if the two modes disagree on any response payload (modulo
-/// ordering) — that would be a correctness bug, not a performance result.
-#[must_use]
-pub fn run_comparison(config: &RunConfig) -> Table {
-    let mut table = Table::new(
-        "S1b: pipelined vs serial execution (bursty multi-tenant, 4 connections)",
-        &[
-            "mode",
-            "requests",
-            "req/s",
-            "p50 us",
-            "p99 us",
-            "fresh_solves",
-            "coalesced",
-            "speedup",
-        ],
-    );
-    let total_requests = if config.quick { 240 } else { 600 };
-    let seed = config.seed ^ 0xB1B;
-
-    // Correctness pass: payload collection on (the client fully parses every
-    // response), both modes must agree modulo ordering.
-    let (serial_checked, _) = run_mode(
-        "bursty",
-        total_requests,
-        seed,
-        ExecutionMode::Serial,
-        1,
-        true,
-    );
-    let (pipelined_checked, _) = run_mode(
-        "bursty",
-        total_requests,
-        seed,
-        ExecutionMode::Pipelined(PipelineConfig::default()),
-        64,
-        true,
-    );
-    assert_eq!(
-        serial_checked.payloads, pipelined_checked.payloads,
-        "the two modes must return identical response payloads modulo ordering"
-    );
-
-    // Timed pass: payload collection off (the client fast-scans response
-    // envelopes so the measurement is of the service, not the client's JSON
-    // parser). Best of three attempts to damp single-core scheduler noise.
-    let mut best: Option<(
-        LoadReport,
-        MetricsSnapshot,
-        LoadReport,
-        MetricsSnapshot,
-        f64,
-    )> = None;
-    for _ in 0..3 {
-        let (serial, serial_metrics) = run_mode(
-            "bursty",
-            total_requests,
-            seed,
-            ExecutionMode::Serial,
-            1,
-            false,
-        );
-        let (pipelined, pipelined_metrics) = run_mode(
-            "bursty",
-            total_requests,
-            seed,
-            ExecutionMode::Pipelined(PipelineConfig::default()),
-            64,
-            false,
-        );
-        for (label, report) in [("serial", &serial), ("pipelined", &pipelined)] {
-            assert_eq!(report.errors, 0, "{label} run produced errors");
-            assert_eq!(report.busy, 0, "{label} run hit admission control");
-        }
-        let ratio = if serial.achieved_rps > 0.0 {
-            pipelined.achieved_rps / serial.achieved_rps
-        } else {
-            f64::INFINITY
-        };
-        let better = best.as_ref().is_none_or(|(.., seen)| ratio > *seen);
-        if better {
-            best = Some((serial, serial_metrics, pipelined, pipelined_metrics, ratio));
-        }
-        if best.as_ref().is_some_and(|(.., seen)| *seen >= 2.2) {
-            break;
-        }
-    }
-    let (serial, serial_metrics, pipelined, pipelined_metrics, speedup) =
-        best.expect("at least one timed attempt ran");
-    for (label, report, metrics, speedup_cell) in [
-        (
-            "serial (baseline)",
-            &serial,
-            &serial_metrics,
-            "1.00".to_string(),
-        ),
-        ("pipelined", &pipelined, &pipelined_metrics, f2(speedup)),
-    ] {
-        table.push_row(vec![
-            label.to_string(),
-            report.sent.to_string(),
-            f2(report.achieved_rps),
-            f2(report.p50_micros),
-            f2(report.p99_micros),
-            metrics.fresh_solves.to_string(),
-            metrics.coalesced.to_string(),
-            speedup_cell,
-        ]);
-    }
-    table.push_note(format!(
-        "pipelined speedup over the serial per-connection baseline: {:.2}x (target >= 2x)",
-        speedup
-    ));
-    table.push_note(
-        "payloads verified identical modulo ordering; serial mode re-solves duplicates that \
-         racing connections submit concurrently, the pipelined executor coalesces them",
-    );
     table
 }
 
@@ -280,27 +112,23 @@ pub fn run_detail_comparison(config: &RunConfig) -> Table {
     );
     let total_requests = if config.quick { 240 } else { 600 };
     let seed = config.seed ^ 0xDE7A;
-    // Best of three to damp scheduler noise, like the mode comparison; the
+    // Best of three to damp scheduler noise; the
     // byte counts are deterministic, only the req/s ratio varies.
     let mut best: Option<(LoadReport, LoadReport, f64)> = None;
     for _ in 0..3 {
-        let (full, _) = run_mode_with_detail(
+        let (full, _) = run_mode(
             "bursty",
             total_requests,
             seed,
-            ExecutionMode::Pipelined(PipelineConfig::default()),
             64,
-            false,
             Some(Detail::Full),
             false,
         );
-        let (trimmed, _) = run_mode_with_detail(
+        let (trimmed, _) = run_mode(
             "bursty",
             total_requests,
             seed,
-            ExecutionMode::Pipelined(PipelineConfig::default()),
             64,
-            false,
             Some(Detail::NoSchedule),
             false,
         );
@@ -378,13 +206,11 @@ pub fn run_attribution(config: &RunConfig) -> Table {
         ],
     );
     let total_requests = if config.quick { 240 } else { 600 };
-    let (report, _) = run_mode_with_detail(
+    let (report, _) = run_mode(
         "bursty",
         total_requests,
         config.seed ^ 0x7AC3,
-        ExecutionMode::Pipelined(PipelineConfig::default()),
         64,
-        false,
         None,
         true,
     );
@@ -431,6 +257,12 @@ pub fn run_attribution(config: &RunConfig) -> Table {
     table
 }
 
+/// Answers `request` in process through [`SchedulerService::handle`].
+fn call(service: &SchedulerService, request: &Request) -> Response {
+    let line = serde_json::to_string(request).expect("requests serialise");
+    serde_json::from_str(&service.handle(&line, &StageContext::now(0))).expect("responses parse")
+}
+
 /// One `tenant_drift` replay against a fresh service with warm starts on or
 /// off — the *only* difference between the two arms. The tenant bases are
 /// primed directly on the service before the replay, so no delta ever races
@@ -441,18 +273,11 @@ fn run_drift(total_requests: usize, seed: u64, warm_starts: bool) -> (LoadReport
         ..ServiceConfig::default()
     }));
     for (k, tenant) in tenant_drift_bases(total_requests, seed).iter().enumerate() {
-        let response = service.handle_request(&Request::from_instance(k as u64 + 1, tenant));
+        let response = call(&service, &Request::from_instance(k as u64 + 1, tenant));
         assert!(response.ok, "priming solve failed: {:?}", response.error);
     }
-    let handle = spawn_tcp(
-        Arc::clone(&service),
-        &TcpServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 4,
-            mode: ExecutionMode::Pipelined(PipelineConfig::default()),
-        },
-    )
-    .expect("ephemeral bind succeeds");
+    let handle = spawn_tcp(Arc::clone(&service), &TcpServerConfig::default())
+        .expect("ephemeral bind succeeds");
     let report = run_loadgen(&LoadgenConfig {
         addr: handle.addr().to_string(),
         scenario: "tenant_drift".to_string(),
@@ -521,8 +346,8 @@ pub fn run_warm_comparison(config: &RunConfig) -> Table {
         .expect("tenant_drift pool builds");
     let mut compared = 0usize;
     for request in &pool {
-        let warm = warm_svc.handle_request(request);
-        let cold = cold_svc.handle_request(request);
+        let warm = call(&warm_svc, request);
+        let cold = call(&cold_svc, request);
         assert_eq!(
             warm.ok, cold.ok,
             "arms disagree on request {}: {:?} vs {:?}",
@@ -623,27 +448,6 @@ mod tests {
         // Row 0 is the mixed scenario; column 3 is achieved req/s.
         let rps: f64 = table.rows[0][3].parse().unwrap();
         assert!(rps >= 100.0, "mixed throughput {rps} below floor");
-    }
-
-    #[test]
-    fn comparison_modes_agree_on_payloads_and_pipelined_wins() {
-        let config = RunConfig {
-            quick: true,
-            seed: 0x52,
-        };
-        let table = run_comparison(&config);
-        assert_eq!(table.num_rows(), 2);
-        // run_comparison already asserts payload equality; sanity-check the
-        // speedup column parses and the pipelined row saw no extra solves
-        // than the serial row.
-        let serial_fresh: u64 = table.rows[0][5].parse().unwrap();
-        let pipelined_fresh: u64 = table.rows[1][5].parse().unwrap();
-        assert!(
-            pipelined_fresh <= serial_fresh,
-            "coalescing must not increase fresh solves ({pipelined_fresh} vs {serial_fresh})"
-        );
-        let speedup: f64 = table.rows[1][7].parse().unwrap();
-        assert!(speedup > 0.0);
     }
 
     #[test]

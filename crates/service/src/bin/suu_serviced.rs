@@ -6,32 +6,28 @@
 //! suu_serviced --stdin                      # serve NDJSON on stdin/stdout
 //! suu_serviced --tcp 127.0.0.1:7077        # serve NDJSON over TCP
 //!     [--workers N]                         # connection threads (default 4)
-//!     [--serial]                            # per-connection serial loop
-//!                                           # (default: pipelined executor)
-//!     [--solver-threads N]                  # pipelined solver pool size
+//!     [--solver-threads N]                  # solver pool size
 //!     [--queue-capacity N]                  # admission-control bound
 //!     [--cache-shards N] [--cache-capacity N]
 //! ```
 //!
-//! By default requests execute on the pipelined solver pool: responses may
-//! return out of order (match them by `id`), identical concurrent solves are
-//! coalesced, and a full queue yields structured `busy` errors. `--serial`
-//! restores the per-connection parse→solve→respond loop.
+//! On both transports requests execute on a shared solver pool: responses
+//! may return out of order (match them by `id`), identical concurrent solves
+//! are coalesced, and a full queue yields structured `busy` errors.
 //!
 //! Status and metrics go to stderr; stdout carries only protocol responses.
 
 use std::sync::Arc;
 
 use suu_service::{
-    spawn_tcp, CacheConfig, ExecutionMode, PipelineConfig, SchedulerService, ServiceConfig,
-    SolverPool, TcpServerConfig,
+    spawn_tcp, CacheConfig, PipelineConfig, SchedulerService, ServiceConfig, SolverPool,
+    TcpServerConfig,
 };
 
 struct Args {
     stdin: bool,
     tcp: Option<String>,
     workers: usize,
-    serial: bool,
     pipeline: PipelineConfig,
     cache_shards: usize,
     cache_capacity: usize,
@@ -51,7 +47,6 @@ fn parse_args() -> Args {
         workers: flag_value("--workers")
             .and_then(|v| v.parse().ok())
             .unwrap_or(4),
-        serial: argv.iter().any(|a| a == "--serial"),
         pipeline: PipelineConfig {
             solver_threads: flag_value("--solver-threads")
                 .and_then(|v| v.parse().ok())
@@ -85,21 +80,14 @@ fn main() {
 
     if args.stdin {
         let stdin = std::io::stdin();
-        let result = if args.serial {
-            eprintln!("suu_serviced: serving NDJSON on stdin/stdout until EOF (serial)");
-            service.serve_lines(stdin.lock(), std::io::stdout())
-        } else {
-            eprintln!(
-                "suu_serviced: serving NDJSON on stdin/stdout until EOF \
-                 (pipelined, {} solver threads, queue {})",
-                args.pipeline.solver_threads, args.pipeline.queue_capacity
-            );
-            let pool = SolverPool::spawn(Arc::clone(&service), &args.pipeline);
-            let result =
-                service.serve_lines_pipelined(stdin.lock(), std::io::stdout(), &pool.handle());
-            pool.shutdown();
-            result
-        };
+        eprintln!(
+            "suu_serviced: serving NDJSON on stdin/stdout until EOF \
+             ({} solver threads, queue {})",
+            args.pipeline.solver_threads, args.pipeline.queue_capacity
+        );
+        let pool = SolverPool::spawn(Arc::clone(&service), &args.pipeline);
+        let result = service.serve_lines(stdin.lock(), std::io::stdout(), &pool.handle());
+        pool.shutdown();
         if let Err(err) = result {
             eprintln!("suu_serviced: transport error: {err}");
             std::process::exit(1);
@@ -109,17 +97,12 @@ fn main() {
     }
 
     let addr = args.tcp.unwrap_or_else(|| "127.0.0.1:7077".to_string());
-    let mode = if args.serial {
-        ExecutionMode::Serial
-    } else {
-        ExecutionMode::Pipelined(args.pipeline.clone())
-    };
     let handle = match spawn_tcp(
         Arc::clone(&service),
         &TcpServerConfig {
             addr,
             workers: args.workers,
-            mode,
+            pipeline: args.pipeline.clone(),
         },
     ) {
         Ok(handle) => handle,
@@ -129,10 +112,10 @@ fn main() {
         }
     };
     eprintln!(
-        "suu_serviced: listening on {} with {} workers, {} execution (Ctrl-C to stop)",
+        "suu_serviced: listening on {} with {} workers, {} solver threads (Ctrl-C to stop)",
         handle.addr(),
         args.workers,
-        if args.serial { "serial" } else { "pipelined" }
+        args.pipeline.solver_threads
     );
     // Serve until killed; the TCP threads own all the work.
     loop {

@@ -3,27 +3,30 @@
 //! The rest of the workspace implements the algorithms of Lin & Rajaraman
 //! (SPAA 2007) as library calls; this crate turns them into a serving layer:
 //!
-//! * [`solver`] — the unified [`Solver`](solver::Solver) trait and the
-//!   [`SolverRegistry`](solver::SolverRegistry) that auto-dispatches each
-//!   instance to the paper's strongest algorithm for its structural class
-//!   (independent → `SUU-I-OBL`, disjoint chains → `SUU-C`, trees/forests →
-//!   the block algorithm of Thms 4.7/4.8, general DAGs → a serial baseline).
-//! * [`cache`] — a sharded LRU [`ScheduleCache`](cache::ScheduleCache) keyed
-//!   by the instance's canonical digest, so repeated workloads are served
-//!   without re-solving the LP.
+//! * [`solver`] — the unified [`Solver`] trait and the [`SolverRegistry`]
+//!   that auto-dispatches each instance to the paper's strongest algorithm
+//!   for its structural class (independent → `SUU-I-OBL`, disjoint chains →
+//!   `SUU-C`, trees/forests → the block algorithm of Thms 4.7/4.8, general
+//!   DAGs → a serial baseline).
+//! * [`cache`] — a sharded LRU [`ScheduleCache`] keyed by the instance's
+//!   canonical digest, so repeated workloads are served without re-solving
+//!   the LP.
 //! * [`protocol`] — the newline-delimited JSON request/response schema
 //!   (request ids, out-of-order responses, structured `error_kind`s).
 //! * [`flight`] — the single-flight layer coalescing identical concurrent
 //!   solves: one solver invocation per `(canonical_digest, solver)` no
 //!   matter how many requests race.
-//! * [`pipeline`] — the pipelined executor: readers parse NDJSON into jobs
-//!   on a shared bounded queue (full → structured `busy` rejection), a
-//!   solver-thread pool drains it and writes responses out of order.
-//! * [`service`] — the [`SchedulerService`](service::SchedulerService)
-//!   combining registry, cache, single-flight and metrics, with the serial
-//!   and pipelined stdin/stdout transports.
+//! * [`pipeline`] — the solver pool: readers tag NDJSON lines as jobs on a
+//!   shared bounded queue (full → structured `busy` rejection), solver
+//!   threads drain it and write responses out of order.
+//! * [`service`] — the [`SchedulerService`] combining registry, cache,
+//!   single-flight and metrics behind one entry point,
+//!   [`handle`](SchedulerService::handle) (one request line in, one response
+//!   line out), plus the stdin/stdout transport
+//!   [`serve_lines`](SchedulerService::serve_lines).
 //! * [`server`] — the TCP transport: a listener feeding a worker thread
-//!   pool, in serial (baseline) or pipelined (default) execution mode.
+//!   pool, each connection served by `serve_lines` on the shared solver
+//!   pool.
 //! * [`session`] — adaptive scheduling sessions: a client streams execution
 //!   feedback in (`completed`, `failed_machine`, `drift`) and streams
 //!   incremental schedule revisions out, each re-solved on the unfinished
@@ -36,11 +39,10 @@
 //! * [`metrics`] — request/error/latency/coalescing counters shared by the
 //!   transports, aggregated into lock-free per-stage histograms.
 //! * [`obs`] — the observability primitives underneath [`metrics`]: a
-//!   log-bucketed [`AtomicHistogram`](obs::AtomicHistogram) (wait-free
-//!   recording, mergeable snapshots, p50/p90/p99/p999) and the
-//!   request-lifecycle [`Stage`](obs::Stage) vocabulary. Surfaced on the
-//!   wire through the `stats` verb and the opt-in per-response `trace`
-//!   object (see [`protocol`]).
+//!   log-bucketed [`AtomicHistogram`] (wait-free recording, mergeable
+//!   snapshots, p50/p90/p99/p999) and the request-lifecycle [`Stage`]
+//!   vocabulary. Surfaced on the wire through the `stats` verb and the
+//!   opt-in per-response `trace` object (see [`protocol`]).
 //!
 //! Binaries: `suu_serviced` (the daemon, `--stdin` or `--tcp ADDR`) and
 //! `loadgen` (the client; see the repository README for the schema and
@@ -72,7 +74,7 @@ pub use protocol::{
     BudgetReport, CachePolicy, Detail, EngineChoice, Request, Response, SolveFailure, SolveOptions,
     TraceReport,
 };
-pub use server::{spawn_tcp, ExecutionMode, ServiceHandle, TcpServerConfig};
+pub use server::{spawn_tcp, ServiceHandle, TcpServerConfig};
 pub use service::{SchedulerService, ServiceConfig, StageContext};
 pub use session::{
     drive_session, execute_oblivious, open_session_line, widen_schedule, DriveConfig, SessionEvent,

@@ -11,7 +11,7 @@
 //!
 //! * **Closed loop** (`max_in_flight == 1`): each connection sends one
 //!   request, waits for its response, then sends the next — the classic
-//!   serial client, and the baseline for the pipelined-vs-serial benchmark.
+//!   serial client.
 //! * **Open loop** (`max_in_flight > 1`): each connection keeps sending
 //!   without waiting, capped at `max_in_flight` outstanding requests, and a
 //!   dedicated reader thread matches responses to requests **by id** (the
@@ -408,8 +408,9 @@ pub fn build_request_pool(
                 // pure cache-hit replay after the first few dozen requests,
                 // and size the tenants like real multi-tenant traffic —
                 // large enough that a fresh LP solve visibly dominates a
-                // cache hit, which is exactly the regime where serial
-                // connections racing the same burst waste whole solves.
+                // cache hit, which is exactly the regime where connections
+                // racing the same burst would waste whole solves without
+                // coalescing.
                 config.num_tenants = (total_requests / 25).clamp(6, 32);
                 config.jobs = (24, 40);
                 config.machines = (4, 6);

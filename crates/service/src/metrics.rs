@@ -62,14 +62,13 @@ pub struct ServiceMetrics {
     /// (see the struct docs).
     expired_dropped: AtomicU64,
     /// Per-stage latency histograms, indexed by [`Stage::index`]. The
-    /// `queue` stage only accumulates under the pipelined executor and the
-    /// `parse` stage only for line-delivered requests; `solve`/`render`
-    /// record once per handled request on every path.
+    /// `queue` stage only accumulates for jobs dequeued by a solver thread
+    /// (not for in-process calls of `handle`); `parse`/`solve`/`render`
+    /// record once per handled request.
     stages: [AtomicHistogram; Stage::ALL.len()],
-    /// Most recently sampled solve-queue depth (gauge; pipelined only).
+    /// Most recently sampled solve-queue depth (gauge).
     queue_depth: AtomicU64,
-    /// The solve queue's admission bound (0 until a pipelined transport
-    /// reports it).
+    /// The solve queue's admission bound (0 until a transport reports it).
     queue_capacity: AtomicU64,
     /// Distribution of sampled queue depths (one sample per accepted
     /// submission).
@@ -399,10 +398,9 @@ pub struct MetricsSnapshot {
     pub expired_dropped: u64,
     /// Per-stage latency histograms in pipeline order.
     pub stages: Vec<(Stage, HistogramSnapshot)>,
-    /// Most recently sampled solve-queue depth (pipelined transports only).
+    /// Most recently sampled solve-queue depth.
     pub queue_depth: u64,
-    /// Solve-queue admission bound (0 when no pipelined transport reported
-    /// one).
+    /// Solve-queue admission bound (0 when no transport reported one).
     pub queue_capacity: u64,
     /// Distribution of queue-depth samples (one per accepted submission).
     pub queue_depth_samples: HistogramSnapshot,

@@ -309,11 +309,10 @@ impl Deserialize for HistogramSnapshot {
 
 /// The stages of a request's life inside the service, in pipeline order.
 /// Each stage has its own latency histogram in the metrics block; the `queue`
-/// stage only accumulates under the pipelined executor (the serial transport
-/// has no queue).
+/// stage accumulates for every job dequeued by a solver thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Accepted → dequeued by a solver thread (pipelined executor only).
+    /// Accepted → dequeued by a solver thread.
     Queue,
     /// Wire line → parsed [`Request`](crate::protocol::Request) (line
     /// transports only; cache-interned parses count at their — tiny — real

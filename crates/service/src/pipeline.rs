@@ -1,19 +1,18 @@
-//! Pipelined request execution: transport I/O decoupled from solving.
+//! The solver pool: transport I/O decoupled from solving, on every
+//! transport (stdin/stdout and TCP).
 //!
-//! The serial transport ([`SchedulerService::serve_lines`]) parses a line,
-//! solves it, writes the response, and only then reads the next line — so one
-//! slow general-DAG solve stalls every request queued behind it on that
-//! connection. This module splits the two roles:
-//!
-//! * **Readers** (one per connection, TCP or stdin) only parse NDJSON lines
-//!   into tagged [`Job`]s and push them onto a shared bounded queue. A full
-//!   queue is answered with a structured `busy` error immediately
-//!   (admission control) — the reader never blocks on the solvers.
+//! * **Readers** (one per connection, see
+//!   [`SchedulerService::serve_lines`]) only tag NDJSON lines as [`Job`]s
+//!   and push them onto a shared bounded queue. A full queue is answered
+//!   with a structured `busy` error immediately (admission control) — the
+//!   reader never blocks on the solvers, so one slow solve cannot stall the
+//!   lines queued behind it.
 //! * **Solver threads** (a fixed pool shared by every connection) pop jobs,
-//!   solve them through the single-flight layer, and write each response
-//!   directly to the owning connection's [`ResponseSink`]. Responses
-//!   therefore return **out of submission order**; clients match on the
-//!   echoed `id`.
+//!   answer each line through [`SchedulerService::handle`] and write the
+//!   response directly to the owning connection's [`ResponseSink`].
+//!   Responses therefore return **out of submission order**; clients match
+//!   on the echoed `id`. A solve that panics is answered with a structured
+//!   `solver_error`; the thread survives it.
 //!
 //! Every accepted job is guaranteed exactly one response: the in-flight
 //! accounting lives in an RAII guard ([`InFlight`]) that the job carries, so
@@ -27,18 +26,17 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::obs::Stage;
-use crate::protocol::{
-    error_kind, scan_deadline, scan_request_id, scan_u64_field, Request, Response,
-};
+use crate::protocol::{error_kind, scan_deadline, scan_request_id, scan_u64_field, Response};
 use crate::service::{SchedulerService, StageContext};
 
-/// Sizing of the pipelined executor.
+/// Sizing of the solver pool.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Number of solver threads consuming the shared queue.
@@ -72,6 +70,8 @@ pub struct ResponseSink {
     /// trace field. Flushes are batched per burst, so this is a
     /// per-connection figure shared by the requests of the burst.
     last_flush_us: AtomicU64,
+    /// Process-unique, nonzero connection token (see [`conn`](Self::conn)).
+    conn: u64,
 }
 
 struct SinkWriter {
@@ -87,6 +87,9 @@ struct SinkState {
 impl ResponseSink {
     /// Wraps a connection's write half.
     pub fn new(out: impl Write + Send + 'static) -> Arc<Self> {
+        // Starts at 1: token 0 is the anonymous connection of in-process
+        // callers. A counter never hands a token out twice.
+        static NEXT_CONN: AtomicU64 = AtomicU64::new(1);
         Arc::new(Self {
             writer: Mutex::new(SinkWriter {
                 out: Box::new(out),
@@ -95,7 +98,14 @@ impl ResponseSink {
             state: Mutex::new(SinkState::default()),
             drained: Condvar::new(),
             last_flush_us: AtomicU64::new(0),
+            conn: NEXT_CONN.fetch_add(1, Ordering::Relaxed),
         })
+    }
+
+    /// The connection's token: groups its sessions for disconnect eviction.
+    #[must_use]
+    pub(crate) fn conn(&self) -> u64 {
+        self.conn
     }
 
     /// Registers one in-flight response; the returned guard releases it on
@@ -211,32 +221,21 @@ impl Drop for InFlight {
     }
 }
 
-/// What a job carries: readers push raw lines (parsing happens on the
-/// solver threads, through the service's interned-line cache, so a slow
-/// parse never blocks a connection's reader), while programmatic callers
-/// submit already-parsed requests.
-pub enum JobPayload {
-    /// A raw NDJSON line, not yet parsed.
-    Line(String),
-    /// A parsed request (boxed: requests carry solve options plus an
-    /// optional delta payload, and jobs outnumber the box allocations the
-    /// raw-line path already makes).
-    Request(Box<Request>),
-}
-
-/// One request tagged with the connection it came from.
+/// One request line tagged with the connection it came from. Parsing
+/// happens on the solver threads, through the service's interned-line
+/// cache, so a slow parse never blocks a connection's reader.
 pub struct Job {
-    payload: JobPayload,
+    line: String,
     /// Best-effort request id (for `busy` rejections before parsing).
     id_hint: u64,
     /// When the reader accepted the job: relative time budgets are measured
     /// from here, so queueing counts against the budget.
     accepted_at: Instant,
-    /// Effective deadline, scanned best-effort for raw lines (the full parse
-    /// recomputes it from the same fields). Solver threads drop jobs whose
-    /// deadline has passed at dequeue, without parsing or solving.
+    /// Effective deadline, scanned best-effort (the full parse recomputes it
+    /// from the same fields). Solver threads drop jobs whose deadline has
+    /// passed at dequeue, without parsing or solving.
     deadline: Option<Instant>,
-    /// Session id scanned from the raw line, when present. Jobs carrying the
+    /// Session id scanned from the line, when present. Jobs carrying the
     /// same session id are executed one at a time in submission order (a
     /// session is a state machine — its revisions must not race), while jobs
     /// of distinct sessions still fan out across the pool.
@@ -245,45 +244,19 @@ pub struct Job {
     _in_flight: InFlight,
 }
 
-/// Stable per-connection token derived from the sink's allocation: even and
-/// nonzero (`Arc` payloads are aligned), so it can never collide with the
-/// serial transport's odd tokens or the anonymous token 0. Used to group a
-/// connection's sessions for disconnect eviction.
-#[must_use]
-pub fn sink_conn_token(sink: &Arc<ResponseSink>) -> u64 {
-    Arc::as_ptr(sink) as usize as u64
-}
-
 impl Job {
-    /// Tags `request` with the connection sink it must answer to, taking an
-    /// in-flight registration on the sink.
+    /// Tags `line` with the connection sink it must answer to, taking an
+    /// in-flight registration on the sink. The id and deadline fields are
+    /// scanned out (best effort) so admission rejections can echo the id and
+    /// expired jobs can be dropped at dequeue without a parse.
     #[must_use]
-    pub fn new(request: Request, sink: &Arc<ResponseSink>) -> Self {
-        let accepted_at = Instant::now();
-        let id_hint = request.id;
-        let deadline = request.solve_options().effective_deadline(accepted_at);
-        Self {
-            payload: JobPayload::Request(Box::new(request)),
-            id_hint,
-            accepted_at,
-            deadline,
-            session: None,
-            sink: Arc::clone(sink),
-            _in_flight: sink.begin(),
-        }
-    }
-
-    /// Wraps a raw line; the id and deadline fields are scanned out (best
-    /// effort) so admission rejections can echo the id and expired jobs can
-    /// be dropped at dequeue without a parse.
-    #[must_use]
-    pub fn from_line(line: String, sink: &Arc<ResponseSink>) -> Self {
+    pub fn new(line: String, sink: &Arc<ResponseSink>) -> Self {
         let accepted_at = Instant::now();
         let id_hint = scan_request_id(&line);
         let deadline = scan_deadline(&line, accepted_at);
         let session = scan_u64_field(&line, "\"session\":");
         Self {
-            payload: JobPayload::Line(line),
+            line,
             id_hint,
             accepted_at,
             deadline,
@@ -294,7 +267,7 @@ impl Job {
     }
 
     /// The id to echo in a `busy` rejection (0 when it could not be scanned
-    /// from a raw line).
+    /// from the line).
     #[must_use]
     pub fn id_hint(&self) -> u64 {
         self.id_hint
@@ -373,6 +346,18 @@ impl PoolHandle {
     pub fn capacity(&self) -> usize {
         self.shared.capacity
     }
+
+    /// Sessions with a job currently executing (for inspection in tests: 0
+    /// once the pool is idle).
+    #[must_use]
+    pub fn active_sessions(&self) -> usize {
+        self.shared
+            .state
+            .lock()
+            .expect("solve queue poisoned")
+            .active_sessions
+            .len()
+    }
 }
 
 /// The shared solver-thread pool: a bounded job queue plus the threads
@@ -418,6 +403,12 @@ impl SolverPool {
     /// them. Every already-accepted job still gets its response written
     /// (best effort — disconnected clients are ignored).
     pub fn shutdown(mut self) {
+        self.join();
+    }
+
+    /// [`shutdown`](Self::shutdown) for an owner that cannot give the pool
+    /// up by value.
+    pub(crate) fn join(&mut self) {
         self.close();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
@@ -511,18 +502,18 @@ fn solver_loop(shared: &PoolShared, service: &SchedulerService) {
         let queue_us = u64::try_from(job.accepted_at.elapsed().as_micros()).unwrap_or(u64::MAX);
         service.metrics().record_stage(Stage::Queue, queue_us);
         let ctx = StageContext {
+            accepted_at: job.accepted_at,
             queue_us,
             flush_us: job.sink.last_flush_us(),
-            conn: sink_conn_token(&job.sink),
+            conn: job.sink.conn(),
         };
-        let line = match &job.payload {
-            JobPayload::Line(raw) => {
-                service.handle_line_coalesced_rendered_ctx(raw, job.accepted_at, ctx)
-            }
-            JobPayload::Request(request) => {
-                service.handle_request_coalesced_rendered_ctx(request, job.accepted_at, ctx)
-            }
-        };
+        // A panicking solve must not kill this thread: the job's connection
+        // would wait forever for its response and the session gate would
+        // stay closed. A leader's flight guard clears its slot on unwind;
+        // the job is answered like any failed solve.
+        let started = Instant::now();
+        let line = catch_unwind(AssertUnwindSafe(|| service.handle(&job.line, &ctx)))
+            .unwrap_or_else(|_| service.panicked_response(job.id_hint(), started));
         let flush_start = Instant::now();
         job.respond_line(&line);
         // `respond_line` covers the write and (when this response closed the
@@ -540,6 +531,7 @@ fn solver_loop(shared: &PoolShared, service: &SchedulerService) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Request;
     use crate::service::ServiceConfig;
     use std::io::Write;
     use suu_core::InstanceBuilder;
@@ -574,12 +566,12 @@ mod tests {
         }
     }
 
-    fn request(id: u64, seed: u64) -> Request {
+    fn request(id: u64, seed: u64) -> String {
         let inst = InstanceBuilder::new(3, 2)
             .probability_matrix(uniform_matrix(3, 2, 0.3, 0.9, seed))
             .build()
             .unwrap();
-        Request::from_instance(id, &inst)
+        serde_json::to_string(&Request::from_instance(id, &inst)).unwrap()
     }
 
     fn pool(threads: usize, capacity: usize) -> (Arc<SchedulerService>, SolverPool) {

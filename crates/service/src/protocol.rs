@@ -64,7 +64,7 @@
 //!
 //! # Pipelined execution
 //!
-//! Since the pipelined executor landed, a connection may have many requests
+//! A connection may have many requests
 //! in flight at once and **responses may arrive in any order**: clients must
 //! match responses to requests by the echoed `id`, not by position. Error
 //! responses additionally carry a machine-readable `error_kind`
@@ -86,8 +86,8 @@
 //!            "flush_us": 8, "cache": "miss", "lp_pivots": 44}}
 //! ```
 //!
-//! `queue_us` is time spent in the solve queue (0 on the serial transports,
-//! which have no queue), `solve_us` covers cache lookup + single-flight +
+//! `queue_us` is time spent in the solve queue (0 for in-process callers of
+//! `SchedulerService::handle`), `solve_us` covers cache lookup + single-flight +
 //! solving, `render_us` the response serialisation, and `flush_us` the most
 //! recent write-side flush of the connection. `cache` reports how the
 //! schedule was obtained: `"hit"`, `"miss"` (fresh solve) or `"coalesced"`
@@ -797,7 +797,7 @@ impl BudgetReport {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceReport {
     /// Microseconds spent in the solve queue before a solver thread picked
-    /// the request up (0 on the serial transports, which have no queue).
+    /// the request up (0 for in-process callers, which skip the queue).
     pub queue_us: u64,
     /// Microseconds from dispatch to a solved schedule: cache lookup,
     /// single-flight coordination and (on a miss) the solve itself.

@@ -91,12 +91,15 @@ impl CacheOutcome {
     }
 }
 
-/// Stage timings the *transport* already knows when it hands a request to
-/// the service — the pipelined executor passes the request's queue wait and
-/// the connection's most recent flush cost so they can be echoed in the
-/// `trace` response object. The serial transports have neither (both 0).
-#[derive(Debug, Clone, Copy, Default)]
+/// What the transport knows about a request when it hands the line to
+/// [`SchedulerService::handle`]: when it was accepted, how long it queued,
+/// the connection's most recent flush cost (the last three are echoed in the
+/// `trace` response object) and the connection it came from.
+#[derive(Debug, Clone, Copy)]
 pub struct StageContext {
+    /// When the transport accepted the request. Relative time budgets are
+    /// measured from here, so time spent queued counts against the budget.
+    pub accepted_at: Instant,
     /// Microseconds the request waited in the solve queue.
     pub queue_us: u64,
     /// Microseconds of the connection's most recent write-side flush.
@@ -105,6 +108,20 @@ pub struct StageContext {
     /// eviction (0 = anonymous: sessions opened this way only expire by
     /// idle TTL).
     pub conn: u64,
+}
+
+impl StageContext {
+    /// The context of an in-process caller: accepted now, never queued or
+    /// flushed, owned by connection token `conn` (0 = anonymous).
+    #[must_use]
+    pub fn now(conn: u64) -> Self {
+        Self {
+            accepted_at: Instant::now(),
+            queue_us: 0,
+            flush_us: 0,
+            conn,
+        }
+    }
 }
 
 /// Serialises a protocol [`Response`] to its wire line (no trailing `\n`).
@@ -304,117 +321,83 @@ impl SchedulerService {
         &self.registry
     }
 
+    /// The single-flight table (for inspection in tests).
+    #[must_use]
+    pub fn flight(&self) -> &SingleFlight {
+        &self.flight
+    }
+
     /// The adaptive-session table (for inspection in tests).
     #[must_use]
     pub fn sessions(&self) -> &SessionTable {
         &self.sessions
     }
 
-    /// Handles one request end to end: validate, dispatch, consult the
-    /// cache, solve on miss, optionally estimate the makespan.
-    ///
-    /// This is the *serial* entry point: concurrent duplicates each run
-    /// their own solve (first-insert-wins in the cache). The pipelined
-    /// executor uses [`handle_request_coalesced`](Self::handle_request_coalesced)
-    /// instead.
-    #[must_use]
-    pub fn handle_request(&self, request: &Request) -> Response {
-        self.handle_with(request, false, Instant::now(), StageContext::default())
-    }
-
-    /// Like [`handle_request`](Self::handle_request), but concurrent
-    /// requests with the same `canonical_digest()` (and solver) are
-    /// coalesced through the single-flight layer: exactly one solve runs,
-    /// the duplicates wait on its result and report `cache_hit`.
-    #[must_use]
-    pub fn handle_request_coalesced(&self, request: &Request) -> Response {
-        self.handle_with(request, true, Instant::now(), StageContext::default())
-    }
-
-    fn handle_with(
-        &self,
-        request: &Request,
-        coalesce: bool,
-        accepted_at: Instant,
-        ctx: StageContext,
-    ) -> Response {
+    /// The struct-building path, taken by requests that ask for a makespan
+    /// estimate: the estimate is computed per request, so their responses
+    /// cannot splice a solve's cached rendered body.
+    fn estimated_response(&self, request: &Request, ctx: &StageContext) -> Response {
         let start = Instant::now();
-        let mut response = self.solve_request(request, coalesce, accepted_at, ctx);
-        response.service_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.metrics.record(
-            response.solver.as_deref(),
-            response.ok,
-            response.service_micros,
-        );
+        let options = request.solve_options();
+        let directives = Directives::new(&options, ctx.accepted_at);
+        let mut response = match self.solve_flow(request, &directives) {
+            Ok(outcome) => {
+                // The estimate is skipped when the deadline has already
+                // passed: the client asked for bounded latency, and the
+                // schedule itself is the part it cannot recompute.
+                let estimated_makespan = request
+                    .estimate_trials
+                    .filter(|&trials| trials > 0 && !directives.expired())
+                    .and_then(|trials| {
+                        self.estimate_makespan(
+                            &outcome.instance,
+                            &outcome.solved,
+                            trials.min(self.config.max_estimate_trials),
+                        )
+                    });
+                // `solve_us` is filled in below once the total handling time
+                // is known; `render_us` stays 0 on this struct-building path
+                // — serialisation happens in the caller.
+                let trace = options.trace.then(|| TraceReport {
+                    queue_us: ctx.queue_us,
+                    solve_us: 0,
+                    render_us: 0,
+                    flush_us: ctx.flush_us,
+                    cache: outcome.cache.as_wire().to_string(),
+                    lp_pivots: outcome.solved.lp_pivots.unwrap_or(0) as u64,
+                    warm: outcome.solved.lp_warm,
+                });
+                Response {
+                    id: request.id,
+                    ok: true,
+                    error: None,
+                    error_kind: None,
+                    solver: Some(outcome.solved.solver.clone()),
+                    cache_hit: outcome.cache.as_cache_hit(),
+                    schedule_len: outcome.solved.schedule.len(),
+                    lp_value: outcome.solved.lp_value,
+                    lp_pivots: outcome.solved.lp_pivots,
+                    lp_micros: outcome.solved.lp_micros,
+                    schedule: Some(outcome.solved.schedule),
+                    estimated_makespan,
+                    service_micros: 0,
+                    degraded: outcome.degraded,
+                    budget: outcome.budget,
+                    trace,
+                }
+                .project(directives.detail)
+            }
+            Err(failure) => failure,
+        };
+        let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        response.service_micros = micros;
         self.metrics
-            .record_stage(Stage::Solve, response.service_micros);
-        let micros = response.service_micros;
+            .record(response.solver.as_deref(), response.ok, micros);
+        self.metrics.record_stage(Stage::Solve, micros);
         if let Some(trace) = response.trace.as_mut() {
             trace.solve_us = micros;
         }
         response
-    }
-
-    fn solve_request(
-        &self,
-        request: &Request,
-        coalesce: bool,
-        accepted_at: Instant,
-        ctx: StageContext,
-    ) -> Response {
-        let options = request.solve_options();
-        let directives = Directives::new(&options, accepted_at);
-        let outcome = match self.solve_flow(request, &directives, coalesce) {
-            Ok(outcome) => outcome,
-            Err(failure) => return failure,
-        };
-
-        // The estimate is skipped when the deadline has already passed: the
-        // client asked for bounded latency, and the schedule itself is the
-        // part it cannot recompute.
-        let estimated_makespan = request
-            .estimate_trials
-            .filter(|&trials| trials > 0 && !directives.expired())
-            .and_then(|trials| {
-                self.estimate_makespan(
-                    &outcome.instance,
-                    &outcome.solved,
-                    trials.min(self.config.max_estimate_trials),
-                )
-            });
-
-        // `solve_us` is patched in by `handle_with` once the total handling
-        // time is known; `render_us` stays 0 on this (slow, struct-building)
-        // path — serialisation happens in the caller.
-        let trace = options.trace.then(|| TraceReport {
-            queue_us: ctx.queue_us,
-            solve_us: 0,
-            render_us: 0,
-            flush_us: ctx.flush_us,
-            cache: outcome.cache.as_wire().to_string(),
-            lp_pivots: outcome.solved.lp_pivots.unwrap_or(0) as u64,
-            warm: outcome.solved.lp_warm,
-        });
-
-        Response {
-            id: request.id,
-            ok: true,
-            error: None,
-            error_kind: None,
-            solver: Some(outcome.solved.solver.clone()),
-            cache_hit: outcome.cache.as_cache_hit(),
-            schedule_len: outcome.solved.schedule.len(),
-            lp_value: outcome.solved.lp_value,
-            lp_pivots: outcome.solved.lp_pivots,
-            lp_micros: outcome.solved.lp_micros,
-            schedule: Some(outcome.solved.schedule),
-            estimated_makespan,
-            service_micros: 0,
-            degraded: outcome.degraded,
-            budget: outcome.budget,
-            trace,
-        }
-        .project(directives.detail)
     }
 
     /// Shared validate → dispatch → lookup/solve flow behind both the
@@ -426,7 +409,6 @@ impl SchedulerService {
         &self,
         request: &Request,
         directives: &Directives,
-        coalesce: bool,
     ) -> Result<SolveOutcome, Response> {
         if request
             .num_jobs
@@ -488,12 +470,12 @@ impl SchedulerService {
         // client must not be degraded by a stranger's budget.
         let budgeted =
             directives.limits.max_pivots.is_some() || directives.limits.deadline.is_some();
-        let mut result = self.lookup_or_solve(&instance, solver, directives, coalesce);
+        let mut result = self.lookup_or_solve(&instance, solver, directives);
         if !budgeted {
             let mut retries = 0;
             while retries < 2 && matches!(&result, Err(f) if f.kind == error_kind::BUDGET_EXHAUSTED)
             {
-                result = self.lookup_or_solve(&instance, solver, directives, coalesce);
+                result = self.lookup_or_solve(&instance, solver, directives);
                 retries += 1;
             }
         }
@@ -532,7 +514,7 @@ impl SchedulerService {
                     variant: 0,
                     ..*directives
                 };
-                match self.lookup_or_solve(&instance, fallback, &relaxed, coalesce) {
+                match self.lookup_or_solve(&instance, fallback, &relaxed) {
                     Ok((solved, cache)) => Ok(SolveOutcome {
                         instance,
                         solved,
@@ -624,76 +606,25 @@ impl SchedulerService {
         Ok(instance)
     }
 
-    /// The pipelined executor's handler: coalesced like
-    /// [`handle_request_coalesced`](Self::handle_request_coalesced), but
-    /// returns the serialised NDJSON response line directly, splicing the
-    /// solve's [rendered body](CachedSolve::rendered_body) into the response
-    /// envelope whenever possible. Re-serialising a multi-kilobyte schedule
-    /// per response dominates the cost of a cache hit; rendering it once per
-    /// solve and reusing the bytes is what lets the pipelined mode answer
-    /// repeat-heavy traffic at a multiple of the serial baseline's rate.
+    /// Answers one NDJSON request line with its NDJSON response line (no
+    /// trailing `\n`) — the service's single entry point, called by the
+    /// solver threads for every transport and directly by in-process
+    /// callers (with [`StageContext::now`]).
     ///
-    /// The spliced line parses to exactly the [`Response`] the slow path
-    /// would have produced (same serde rendering underneath); requests that
-    /// ask for a makespan estimate take the slow path, since the estimate is
-    /// computed per request.
+    /// Lines carrying a `verb` field are protocol commands (`stats` and the
+    /// session verbs), answered without entering the scheduling path.
+    /// Request lines are parsed through the interned-line cache, and
+    /// identical concurrent solves are coalesced by the single-flight layer.
+    /// The response splices the solve's [rendered
+    /// body](CachedSolve::rendered_body) into its envelope: re-serialising a
+    /// multi-kilobyte schedule per response would dominate the cost of a
+    /// cache hit. The spliced line parses to the same [`Response`] a struct
+    /// render would produce; requests that ask for a makespan estimate are
+    /// rendered from the struct, since the estimate is computed per request.
+    /// Parse failures yield a structured `bad_request` response whose id is
+    /// the best-effort scan of the line (0 when absent).
     #[must_use]
-    pub fn handle_request_coalesced_rendered(&self, request: &Request) -> String {
-        self.rendered_with_id(request, request.id, Instant::now(), StageContext::default())
-    }
-
-    /// Like
-    /// [`handle_request_coalesced_rendered`](Self::handle_request_coalesced_rendered)
-    /// with an explicit acceptance time, from which relative time budgets
-    /// are measured (the pipelined executor passes the enqueue time, so
-    /// queueing counts against the budget).
-    #[must_use]
-    pub fn handle_request_coalesced_rendered_at(
-        &self,
-        request: &Request,
-        accepted_at: Instant,
-    ) -> String {
-        self.rendered_with_id(request, request.id, accepted_at, StageContext::default())
-    }
-
-    /// [`handle_request_coalesced_rendered_at`](Self::handle_request_coalesced_rendered_at)
-    /// with the transport's [`StageContext`] (queue wait and last flush
-    /// cost), echoed in the `trace` object when the request asked for one.
-    #[must_use]
-    pub fn handle_request_coalesced_rendered_ctx(
-        &self,
-        request: &Request,
-        accepted_at: Instant,
-        ctx: StageContext,
-    ) -> String {
-        self.rendered_with_id(request, request.id, accepted_at, ctx)
-    }
-
-    /// The pipelined executor's raw-line handler: parse (through the
-    /// interned-line cache), then the rendered coalesced path. Parse
-    /// failures yield a structured `bad_request` response whose id is the
-    /// best-effort scan of the line, like [`handle_line`](Self::handle_line).
-    #[must_use]
-    pub fn handle_line_coalesced_rendered(&self, line: &str) -> String {
-        self.handle_line_coalesced_rendered_at(line, Instant::now())
-    }
-
-    /// [`handle_line_coalesced_rendered`](Self::handle_line_coalesced_rendered)
-    /// with an explicit acceptance time for budget accounting.
-    #[must_use]
-    pub fn handle_line_coalesced_rendered_at(&self, line: &str, accepted_at: Instant) -> String {
-        self.handle_line_coalesced_rendered_ctx(line, accepted_at, StageContext::default())
-    }
-
-    /// [`handle_line_coalesced_rendered_at`](Self::handle_line_coalesced_rendered_at)
-    /// with the transport's [`StageContext`] for trace echoing.
-    #[must_use]
-    pub fn handle_line_coalesced_rendered_ctx(
-        &self,
-        line: &str,
-        accepted_at: Instant,
-        ctx: StageContext,
-    ) -> String {
+    pub fn handle(&self, line: &str, ctx: &StageContext) -> String {
         if let Some(reply) = self.try_handle_verb(line, ctx.conn) {
             return reply;
         }
@@ -704,52 +635,67 @@ impl SchedulerService {
                     Stage::Parse,
                     u64::try_from(parse_start.elapsed().as_micros()).unwrap_or(u64::MAX),
                 );
-                self.rendered_with_id(&request, id, accepted_at, ctx)
+                self.rendered_with_id(&request, id, ctx)
             }
             Err(err) => {
-                // Like the serial `handle_line`: protocol noise is answered
-                // but not counted as a handled request in the metrics. The
-                // id is scanned out best-effort so the client can match the
-                // error to a request.
+                // Protocol noise is answered but not counted as a handled
+                // request in the metrics. The id is scanned out best-effort
+                // so the client can match the error to a request.
                 let failure = Response::failure_with(
                     scan_request_id(line),
                     error_kind::BAD_REQUEST,
                     format!("bad request: {err}"),
                 );
-                serde_json::to_string(&failure).expect("responses always serialise")
+                render_response(&failure)
             }
         }
     }
 
+    /// The answer to a line whose [`handle`](Self::handle) call panicked
+    /// after `started`: a structured `solver_error`, recorded like any
+    /// failed request so the counters and stage histograms stay consistent.
+    pub(crate) fn panicked_response(&self, id: u64, started: Instant) -> String {
+        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.metrics.record(None, false, micros);
+        self.metrics.record_stage(Stage::Solve, micros);
+        let mut failure = Response::failure_with(
+            id,
+            error_kind::SOLVER_ERROR,
+            "the solve panicked; no schedule was produced",
+        );
+        failure.service_micros = micros;
+        let render_start = Instant::now();
+        let line = render_response(&failure);
+        self.metrics.record_stage(
+            Stage::Render,
+            u64::try_from(render_start.elapsed().as_micros()).unwrap_or(u64::MAX),
+        );
+        line
+    }
+
     /// `request` with `id` substituted (interned requests carry the id of
     /// their first submission; every later envelope gets its own).
-    fn rendered_with_id(
-        &self,
-        request: &Request,
-        id: u64,
-        accepted_at: Instant,
-        ctx: StageContext,
-    ) -> String {
+    fn rendered_with_id(&self, request: &Request, id: u64, ctx: &StageContext) -> String {
         let start = Instant::now();
         let options = request.solve_options();
-        let directives = Directives::new(&options, accepted_at);
+        let directives = Directives::new(&options, ctx.accepted_at);
         if request.estimate_trials.filter(|&t| t > 0).is_some()
             || directives.detail == Detail::EstimateOnly
         {
-            // Estimates are computed per request: take the slow path with
-            // the id patched through.
+            // Estimates are computed per request: take the struct-building
+            // path with the id patched through.
             let mut own = request.clone();
             own.id = id;
-            let response = self.handle_with(&own, true, accepted_at, ctx);
+            let response = self.estimated_response(&own, ctx);
             let render_start = Instant::now();
-            let line = serde_json::to_string(&response).expect("responses always serialise");
+            let line = render_response(&response);
             self.metrics.record_stage(
                 Stage::Render,
                 u64::try_from(render_start.elapsed().as_micros()).unwrap_or(u64::MAX),
             );
             return line;
         }
-        match self.solve_flow(request, &directives, true) {
+        match self.solve_flow(request, &directives) {
             Ok(outcome) => {
                 let solve_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
                 self.metrics.record_stage(Stage::Solve, solve_us);
@@ -805,7 +751,7 @@ impl SchedulerService {
                 self.metrics
                     .record_stage(Stage::Solve, failure.service_micros);
                 let render_start = Instant::now();
-                let line = serde_json::to_string(&failure).expect("responses always serialise");
+                let line = render_response(&failure);
                 self.metrics.record_stage(
                     Stage::Render,
                     u64::try_from(render_start.elapsed().as_micros()).unwrap_or(u64::MAX),
@@ -855,10 +801,9 @@ impl SchedulerService {
     }
 
     /// Resolves a schedule for `(instance, solver, variant)` under the
-    /// request's cache policy: cache hit, fresh solve, or (when `coalesce`
-    /// is set) a wait on an identical in-flight solve. The [`CacheOutcome`]
-    /// distinguishes the three for the response's `cache_hit` flag and the
-    /// `trace.cache` field.
+    /// request's cache policy: cache hit, fresh solve, or a wait on an
+    /// identical in-flight solve. The [`CacheOutcome`] distinguishes the
+    /// three for the response's `cache_hit` flag and the `trace.cache` field.
     ///
     /// `Bypass` and `Refresh` requests demand their own fresh solve, so they
     /// go around both the cache read and the single-flight layer (they never
@@ -869,7 +814,6 @@ impl SchedulerService {
         instance: &SuuInstance,
         solver: &dyn Solver,
         directives: &Directives,
-        coalesce: bool,
     ) -> Result<(CachedSolve, CacheOutcome), SolveFailure> {
         let variant = directives.variant;
         match directives.cache {
@@ -884,17 +828,6 @@ impl SchedulerService {
                     .map(|s| (s, CacheOutcome::Miss));
             }
             CachePolicy::Default => {}
-        }
-        if !coalesce {
-            // Serial semantics: concurrent duplicates race (first insert
-            // wins). Kept as the baseline path for `serve_lines` and for the
-            // pipelined-vs-serial benchmark.
-            if let Some(hit) = self.cache.get(instance, solver.name(), variant) {
-                return Ok((hit, CacheOutcome::Hit));
-            }
-            return self
-                .run_solver(instance, solver, &directives.limits, Some(variant))
-                .map(|s| (s, CacheOutcome::Miss));
         }
         let key = (
             instance.canonical_digest(),
@@ -1047,53 +980,6 @@ impl SchedulerService {
         Some(stats.mean())
     }
 
-    /// Handles one raw NDJSON line. Parse failures yield an error response
-    /// (with the line's `"id"` scanned out best-effort, 0 when absent)
-    /// rather than tearing the connection down. Lines carrying a `verb`
-    /// field are protocol commands (`stats` and the session verbs),
-    /// answered without entering the scheduling path. Sessions opened
-    /// through this entry point are anonymous (conn token 0): they expire by
-    /// idle TTL, not by disconnect.
-    #[must_use]
-    pub fn handle_line(&self, line: &str) -> String {
-        self.handle_line_with_conn(line, 0)
-    }
-
-    /// [`handle_line`](Self::handle_line) with an explicit connection token
-    /// for session ownership — the serial transports pass a per-connection
-    /// token so sessions die with their connection.
-    fn handle_line_with_conn(&self, line: &str, conn: u64) -> String {
-        if let Some(reply) = self.try_handle_verb(line, conn) {
-            return reply;
-        }
-        let parse_start = Instant::now();
-        match serde_json::from_str::<Request>(line) {
-            Ok(request) => {
-                self.metrics.record_stage(
-                    Stage::Parse,
-                    u64::try_from(parse_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-                );
-                let response = self.handle_request(&request);
-                let render_start = Instant::now();
-                let rendered =
-                    serde_json::to_string(&response).expect("responses always serialise");
-                self.metrics.record_stage(
-                    Stage::Render,
-                    u64::try_from(render_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-                );
-                rendered
-            }
-            Err(err) => {
-                let failure = Response::failure_with(
-                    scan_request_id(line),
-                    error_kind::BAD_REQUEST,
-                    format!("bad request: {err}"),
-                );
-                serde_json::to_string(&failure).expect("responses always serialise")
-            }
-        }
-    }
-
     /// Intercepts protocol-command lines (`{"id": N, "verb": "stats"}`).
     /// Returns `None` for ordinary scheduling requests — a line only counts
     /// as a command when it parses as JSON *and* carries a `verb` key.
@@ -1128,7 +1014,7 @@ impl SchedulerService {
                          session_event, close_session"
                     ),
                 );
-                Some(serde_json::to_string(&failure).expect("responses always serialise"))
+                Some(render_response(&failure))
             }
         }
     }
@@ -1184,7 +1070,7 @@ impl SchedulerService {
             detail: Detail::Full,
             variant: 2,
         };
-        match self.lookup_or_solve(instance, solver, &directives, false) {
+        match self.lookup_or_solve(instance, solver, &directives) {
             Ok((solved, _)) => Ok(solved),
             Err(failure) => Err(Response::from_failure(id, &failure)),
         }
@@ -1441,8 +1327,7 @@ impl SchedulerService {
 
     /// Renders the `stats` verb response: `{"id": N, "ok": true, "stats":
     /// {...}}` with the full metrics snapshot (see the protocol docs).
-    #[must_use]
-    pub fn stats_response_line(&self, id: u64) -> String {
+    fn stats_response_line(&self, id: u64) -> String {
         Value::Object(vec![
             ("id".to_string(), id.to_value()),
             ("ok".to_string(), true.to_value()),
@@ -1567,74 +1452,32 @@ impl SchedulerService {
         ])
     }
 
-    /// Serves NDJSON requests from `input` to `output` until EOF — the
-    /// stdin/stdout transport, also used per-connection by the TCP server.
+    /// Serves NDJSON requests from `input` until EOF — the stdin/stdout
+    /// transport, also used per connection by the TCP server. The calling
+    /// thread only reads lines into jobs on the shared solve queue (`pool`);
+    /// solver threads write the responses to `output` as they finish,
+    /// possibly **out of submission order** (clients match on `id`).
+    ///
     /// Lines longer than [`ServiceConfig::max_line_bytes`] are discarded
-    /// (never fully buffered) and answered with an error response.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying reader/writer.
-    pub fn serve_lines<R: BufRead, W: Write>(
-        &self,
-        mut input: R,
-        mut output: W,
-    ) -> std::io::Result<()> {
-        // Odd, process-unique connection token. The pipelined transport
-        // derives its tokens from `Arc` allocation addresses (always even),
-        // so the two families can never collide; 0 stays the anonymous
-        // token of bare `handle_line` calls.
-        static NEXT_CONN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let conn = NEXT_CONN
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            .wrapping_mul(2)
-            .wrapping_add(1);
-        let result = (|| loop {
-            let reply = match read_line_bounded(&mut input, self.config.max_line_bytes)? {
-                BoundedLine::Eof => return Ok(()),
-                BoundedLine::Line(line) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    self.handle_line_with_conn(&line, conn)
-                }
-                BoundedLine::TooLong => {
-                    let failure = self.line_too_long_response();
-                    serde_json::to_string(&failure).expect("responses always serialise")
-                }
-            };
-            output.write_all(reply.as_bytes())?;
-            output.write_all(b"\n")?;
-            output.flush()?;
-        })();
-        // The connection is gone (EOF or I/O error) — its sessions go too.
-        self.evict_connection_sessions(conn);
-        result
-    }
-
-    /// Serves NDJSON requests from `input` with **pipelined** execution: the
-    /// calling thread only parses lines into jobs on the shared solve queue
-    /// (`pool`); solver threads write the responses to `output` as they
-    /// finish, possibly **out of submission order** (clients match on `id`).
-    ///
-    /// Parse failures and oversized lines are answered inline by this
-    /// thread; a full queue is answered with a structured `busy` error
-    /// (admission control) instead of blocking. On EOF the call drains:
-    /// it blocks until every accepted job's response has been written, so a
-    /// closing connection never loses responses.
+    /// (never fully buffered) and answered inline with an error response; a
+    /// full queue is answered with a structured `busy` error (admission
+    /// control) instead of blocking. On EOF the call drains: it blocks until
+    /// every accepted job's response has been written, so a closing
+    /// connection never loses responses. The connection's sessions are
+    /// evicted when the call returns.
     ///
     /// # Errors
     ///
     /// Propagates read errors; a broken write half ends the loop early with
     /// an error after in-flight jobs complete.
-    pub fn serve_lines_pipelined<R: BufRead, W: Write + Send + 'static>(
+    pub fn serve_lines<R: BufRead, W: Write + Send + 'static>(
         &self,
         mut input: R,
         output: W,
         pool: &PoolHandle,
     ) -> std::io::Result<()> {
         let sink = ResponseSink::new(output);
-        let conn = crate::pipeline::sink_conn_token(&sink);
+        let conn = sink.conn();
         self.metrics.set_queue_capacity(pool.capacity() as u64);
         loop {
             if sink.failed() {
@@ -1662,7 +1505,7 @@ impl SchedulerService {
                     // Parsing happens on the solver threads (through the
                     // interned-line cache); the reader only tags and
                     // enqueues, so it can never fall behind the socket.
-                    match pool.try_submit(Job::from_line(line, &sink)) {
+                    match pool.try_submit(Job::new(line, &sink)) {
                         Ok(()) => {
                             // One queue-depth sample per accepted submission
                             // feeds the depth gauge and its histogram.
@@ -1757,6 +1600,52 @@ mod tests {
         SchedulerService::new(ServiceConfig::default())
     }
 
+    /// Serialises `request`, answers it through [`SchedulerService::handle`]
+    /// and parses the response line.
+    fn call(svc: &SchedulerService, request: &Request) -> Response {
+        let line = serde_json::to_string(request).unwrap();
+        serde_json::from_str(&svc.handle(&line, &StageContext::now(0))).unwrap()
+    }
+
+    /// A `Write` into a shared buffer (`serve_lines` takes its writer by
+    /// value and hands it to the solver threads).
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serves `input` through `serve_lines` on one solver thread (FIFO, so
+    /// responses come back in submission order) and returns the parsed
+    /// response lines.
+    fn serve(svc: &Arc<SchedulerService>, input: &str) -> Vec<Response> {
+        let pool = crate::pipeline::SolverPool::spawn(
+            Arc::clone(svc),
+            &crate::pipeline::PipelineConfig {
+                solver_threads: 1,
+                queue_capacity: 64,
+            },
+        );
+        let output = SharedBuf::default();
+        svc.serve_lines(input.as_bytes(), output.clone(), &pool.handle())
+            .unwrap();
+        pool.shutdown();
+        let bytes = output.0.lock().unwrap().clone();
+        String::from_utf8(bytes)
+            .unwrap()
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect()
+    }
+
     fn chain_request(id: u64) -> Request {
         let inst = InstanceBuilder::new(3, 2)
             .probability_matrix(uniform_matrix(3, 2, 0.3, 0.9, 21))
@@ -1769,14 +1658,14 @@ mod tests {
     #[test]
     fn solve_then_cache_hit() {
         let svc = service();
-        let first = svc.handle_request(&chain_request(1));
+        let first = call(&svc, &chain_request(1));
         assert!(first.ok, "error: {:?}", first.error);
         assert_eq!(first.solver.as_deref(), Some("suu-c"));
         assert!(!first.cache_hit);
         assert!(first.schedule_len > 0);
         assert!(first.lp_value.is_some());
 
-        let second = svc.handle_request(&chain_request(2));
+        let second = call(&svc, &chain_request(2));
         assert!(second.ok);
         assert!(second.cache_hit);
         assert_eq!(second.id, 2);
@@ -1787,7 +1676,7 @@ mod tests {
     #[test]
     fn lp_effort_is_reported_and_aggregated_once() {
         let svc = service();
-        let first = svc.handle_request(&chain_request(1));
+        let first = call(&svc, &chain_request(1));
         assert!(first.ok);
         assert_eq!(first.solver.as_deref(), Some("suu-c"));
         let pivots = first.lp_pivots.expect("suu-c reports pivots");
@@ -1796,7 +1685,7 @@ mod tests {
 
         // The cache hit repeats the original solve's numbers in the response
         // but must not inflate the aggregate LP counters.
-        let second = svc.handle_request(&chain_request(2));
+        let second = call(&svc, &chain_request(2));
         assert!(second.cache_hit);
         assert_eq!(second.lp_pivots, Some(pivots));
         let snap = svc.metrics().snapshot();
@@ -1809,11 +1698,11 @@ mod tests {
         let svc = service();
         let mut auto = chain_request(1);
         auto.solver = None;
-        assert_eq!(svc.handle_request(&auto).solver.as_deref(), Some("suu-c"));
+        assert_eq!(call(&svc, &auto).solver.as_deref(), Some("suu-c"));
 
         let mut forced = chain_request(2);
         forced.solver = Some("serial-baseline".to_string());
-        let resp = svc.handle_request(&forced);
+        let resp = call(&svc, &forced);
         assert!(resp.ok);
         assert_eq!(resp.solver.as_deref(), Some("serial-baseline"));
         assert!(
@@ -1827,14 +1716,14 @@ mod tests {
         let svc = service();
         let mut req = chain_request(1);
         req.solver = Some("warp-drive".to_string());
-        let resp = svc.handle_request(&req);
+        let resp = call(&svc, &req);
         assert!(!resp.ok);
         assert!(resp.error.unwrap().contains("unknown solver"));
 
         // suu-i-obl requires independent jobs; this instance is a chain.
         let mut req = chain_request(2);
         req.solver = Some("suu-i-obl".to_string());
-        let resp = svc.handle_request(&req);
+        let resp = call(&svc, &req);
         assert!(!resp.ok);
         assert!(resp.error.unwrap().contains("does not support"));
     }
@@ -1845,7 +1734,7 @@ mod tests {
             max_cells: 4,
             ..ServiceConfig::default()
         });
-        let resp = svc.handle_request(&chain_request(1)); // 3 x 2 = 6 cells
+        let resp = call(&svc, &chain_request(1)); // 3 x 2 = 6 cells
         assert!(!resp.ok);
         assert!(resp.error.unwrap().contains("too large"));
 
@@ -1861,7 +1750,7 @@ mod tests {
             base_digest: None,
             delta: None,
         };
-        let resp = svc.handle_request(&bad);
+        let resp = call(&svc, &bad);
         assert!(!resp.ok, "job 1 has no capable machine");
     }
 
@@ -1870,7 +1759,7 @@ mod tests {
         let svc = service();
         let mut req = chain_request(1);
         req.estimate_trials = Some(20);
-        let resp = svc.handle_request(&req);
+        let resp = call(&svc, &req);
         assert!(resp.ok);
         let est = resp.estimated_makespan.unwrap();
         assert!(est.is_finite());
@@ -1887,51 +1776,46 @@ mod tests {
         });
         let mut req = chain_request(1);
         req.estimate_trials = Some(10);
-        let resp = svc.handle_request(&req);
+        let resp = call(&svc, &req);
         assert!(resp.ok);
         assert_eq!(resp.estimated_makespan, None);
     }
 
     #[test]
     fn oversized_lines_get_an_error_response_and_service_continues() {
-        let svc = SchedulerService::new(ServiceConfig {
+        let svc = Arc::new(SchedulerService::new(ServiceConfig {
             max_line_bytes: 512,
             ..ServiceConfig::default()
-        });
+        }));
         let good = serde_json::to_string(&chain_request(5)).unwrap();
         assert!(good.len() <= 512, "test request must fit the limit");
         let huge = "x".repeat(10_000);
-        let input = format!("{huge}\n{good}\n");
-        let mut output = Vec::new();
-        svc.serve_lines(input.as_bytes(), &mut output).unwrap();
-        let output = String::from_utf8(output).unwrap();
-        let lines: Vec<&str> = output.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let first: Response = serde_json::from_str(lines[0]).unwrap();
-        assert!(!first.ok);
-        assert!(first.error.unwrap().contains("byte"));
-        let second: Response = serde_json::from_str(lines[1]).unwrap();
-        assert!(second.ok, "service keeps serving after an oversized line");
+        let responses = serve(&svc, &format!("{huge}\n{good}\n"));
+        assert_eq!(responses.len(), 2);
+        assert!(!responses[0].ok);
+        assert!(responses[0].error.as_ref().unwrap().contains("byte"));
+        assert!(
+            responses[1].ok,
+            "service keeps serving after an oversized line"
+        );
     }
 
     #[test]
     fn oversized_final_line_without_newline_is_rejected() {
-        let svc = SchedulerService::new(ServiceConfig {
+        let svc = Arc::new(SchedulerService::new(ServiceConfig {
             max_line_bytes: 64,
             ..ServiceConfig::default()
-        });
-        let input = "y".repeat(1_000); // no trailing newline, over the limit
-        let mut output = Vec::new();
-        svc.serve_lines(input.as_bytes(), &mut output).unwrap();
-        let output = String::from_utf8(output).unwrap();
-        let resp: Response = serde_json::from_str(output.lines().next().unwrap()).unwrap();
-        assert!(!resp.ok);
+        }));
+        // No trailing newline, over the limit.
+        let responses = serve(&svc, &"y".repeat(1_000));
+        assert_eq!(responses.len(), 1);
+        assert!(!responses[0].ok);
     }
 
     #[test]
     fn handle_line_survives_garbage() {
         let svc = service();
-        let out = svc.handle_line("this is not json");
+        let out = svc.handle("this is not json", &StageContext::now(0));
         let resp: Response = serde_json::from_str(&out).unwrap();
         assert!(!resp.ok);
         assert_eq!(resp.id, 0);
@@ -1940,20 +1824,13 @@ mod tests {
 
     #[test]
     fn serve_lines_is_one_response_per_request() {
-        let svc = service();
+        let svc = Arc::new(service());
         let req = serde_json::to_string(&chain_request(5)).unwrap();
-        let input = format!("{req}\n\nnot-json\n{req}\n");
-        let mut output = Vec::new();
-        svc.serve_lines(input.as_bytes(), &mut output).unwrap();
-        let output = String::from_utf8(output).unwrap();
-        let lines: Vec<&str> = output.lines().collect();
-        assert_eq!(lines.len(), 3, "blank lines are skipped");
-        let first: Response = serde_json::from_str(lines[0]).unwrap();
-        let garbage: Response = serde_json::from_str(lines[1]).unwrap();
-        let third: Response = serde_json::from_str(lines[2]).unwrap();
-        assert!(first.ok && !first.cache_hit);
-        assert!(!garbage.ok);
-        assert!(third.ok && third.cache_hit);
+        let responses = serve(&svc, &format!("{req}\n\nnot-json\n{req}\n"));
+        assert_eq!(responses.len(), 3, "blank lines are skipped");
+        assert!(responses[0].ok && !responses[0].cache_hit);
+        assert!(!responses[1].ok);
+        assert!(responses[2].ok && responses[2].cache_hit);
         assert_eq!(svc.metrics().snapshot().requests, 2);
     }
 
@@ -1972,7 +1849,7 @@ mod tests {
 
         let svc = service();
         let base = chain_instance(21);
-        let first = svc.handle_request(&Request::from_instance(1, &base));
+        let first = call(&svc, &Request::from_instance(1, &base));
         assert!(first.ok, "base solve failed: {:?}", first.error);
 
         let delta = InstanceDelta {
@@ -1980,10 +1857,13 @@ mod tests {
             ..InstanceDelta::default()
         };
         let edited = base.apply_delta(&delta).unwrap();
-        let reference = svc.handle_request(&Request::from_instance(2, &edited));
+        let reference = call(&svc, &Request::from_instance(2, &edited));
         assert!(reference.ok);
 
-        let via_delta = svc.handle_request(&Request::from_delta(3, base.canonical_digest(), delta));
+        let via_delta = call(
+            &svc,
+            &Request::from_delta(3, base.canonical_digest(), delta),
+        );
         assert!(via_delta.ok, "delta solve failed: {:?}", via_delta.error);
         assert_eq!(via_delta.schedule, reference.schedule);
         assert_eq!(via_delta.lp_value, reference.lp_value);
@@ -2000,11 +1880,10 @@ mod tests {
         use suu_core::InstanceDelta;
 
         let svc = service();
-        let missing = svc.handle_request(&Request::from_delta(
-            7,
-            0xdead_beef_dead_beef,
-            InstanceDelta::default(),
-        ));
+        let missing = call(
+            &svc,
+            &Request::from_delta(7, 0xdead_beef_dead_beef, InstanceDelta::default()),
+        );
         assert!(!missing.ok);
         assert_eq!(
             missing.error_kind.as_deref(),
@@ -2014,7 +1893,7 @@ mod tests {
 
         let mut malformed = Request::from_delta(8, 0, InstanceDelta::default());
         malformed.base_digest = Some("NOT-A-DIGEST".to_string());
-        let resp = svc.handle_request(&malformed);
+        let resp = call(&svc, &malformed);
         assert!(!resp.ok);
         assert_eq!(resp.error_kind.as_deref(), Some(error_kind::INVALID_DELTA));
     }
@@ -2025,22 +1904,21 @@ mod tests {
 
         let svc = service();
         let base = chain_instance(21);
-        assert!(svc.handle_request(&Request::from_instance(1, &base)).ok);
+        assert!(call(&svc, &Request::from_instance(1, &base)).ok);
 
         let bad = InstanceDelta {
             set_prob: vec![(99, 0, 0.5)],
             ..InstanceDelta::default()
         };
-        let resp = svc.handle_request(&Request::from_delta(2, base.canonical_digest(), bad));
+        let resp = call(&svc, &Request::from_delta(2, base.canonical_digest(), bad));
         assert!(!resp.ok);
         assert_eq!(resp.error_kind.as_deref(), Some(error_kind::INVALID_DELTA));
 
         // The base is still solvable by digest afterwards.
-        let again = svc.handle_request(&Request::from_delta(
-            3,
-            base.canonical_digest(),
-            InstanceDelta::default(),
-        ));
+        let again = call(
+            &svc,
+            &Request::from_delta(3, base.canonical_digest(), InstanceDelta::default()),
+        );
         assert!(again.ok);
         assert!(again.cache_hit, "empty delta resolves to the cached base");
     }
@@ -2058,7 +1936,7 @@ mod tests {
 
         let mut first = Request::from_instance(1, &chain_instance(21));
         first.options = Some(options);
-        let cold = svc.handle_request(&first);
+        let cold = call(&svc, &first);
         assert!(cold.ok, "cold solve failed: {:?}", cold.error);
         assert!(!cold.trace.as_ref().unwrap().warm, "first solve is cold");
 
@@ -2066,7 +1944,7 @@ mod tests {
         // start from the first solve's final basis.
         let mut second = Request::from_instance(2, &chain_instance(22));
         second.options = Some(options);
-        let warm = svc.handle_request(&second);
+        let warm = call(&svc, &second);
         assert!(warm.ok, "warm solve failed: {:?}", warm.error);
         assert!(
             warm.trace.as_ref().unwrap().warm,
@@ -2082,19 +1960,19 @@ mod tests {
         for (id, seed) in [(1, 21), (2, 22)] {
             let mut req = Request::from_instance(id, &chain_instance(seed));
             req.options = Some(options);
-            let resp = cold_svc.handle_request(&req);
+            let resp = call(&cold_svc, &req);
             assert!(resp.ok);
             assert!(!resp.trace.as_ref().unwrap().warm);
         }
         assert_eq!(cold_svc.metrics().snapshot().warm_hits, 0);
 
         // Warm and cold services computed identical artifacts.
-        let warm_line = svc.handle_request(&{
+        let warm_line = call(&svc, &{
             let mut req = Request::from_instance(9, &chain_instance(22));
             req.options = Some(options);
             req
         });
-        let cold_line = cold_svc.handle_request(&{
+        let cold_line = call(&cold_svc, &{
             let mut req = Request::from_instance(9, &chain_instance(22));
             req.options = Some(options);
             req

@@ -515,10 +515,11 @@ pub fn execute_oblivious(
 }
 
 /// Opens a session for `instance` over `send` (an NDJSON request → response
-/// round trip: in-process `handle_line`, or a TCP write/read pair), executes
-/// the schedule closed-loop — streaming completions and the scripted
-/// failures/drifts in, applying each revision that comes back — then closes
-/// the session.
+/// round trip: in-process
+/// [`SchedulerService::handle`](crate::service::SchedulerService::handle),
+/// or a TCP write/read pair), executes the schedule closed-loop — streaming
+/// completions and the scripted failures/drifts in, applying each revision
+/// that comes back — then closes the session.
 ///
 /// # Errors
 ///

@@ -20,7 +20,7 @@ use serde::{Deserialize, Value};
 use suu_core::ObliviousSchedule;
 use suu_service::{
     drive_session, execute_oblivious, open_session_line, DriveConfig, SchedulerService,
-    ServiceConfig,
+    ServiceConfig, StageContext,
 };
 use suu_sim::simulate_once;
 use suu_workloads::machine_failure_scenario;
@@ -30,7 +30,7 @@ const MAX_STEPS: usize = 10_000;
 /// Opens a session for `instance` and returns the revision-0 schedule the
 /// server handed out.
 fn revision0(service: &SchedulerService, instance: &suu_core::SuuInstance) -> ObliviousSchedule {
-    let open = service.handle_line(&open_session_line(1, instance));
+    let open = service.handle(&open_session_line(1, instance), &StageContext::now(0));
     let value = serde_json::parse(&open).expect("open response parses");
     assert_eq!(
         value.get("ok"),
@@ -69,7 +69,7 @@ fn silent_session_matches_oblivious_and_simulator() {
         );
 
         let report = drive_session(&scenario.instance, &cfg, |line| {
-            Some(service.handle_line(line))
+            Some(service.handle(line, &StageContext::now(0)))
         })
         .expect("silent session drives");
         assert_eq!(
@@ -100,7 +100,7 @@ fn adaptive_never_loses_under_machine_failure() {
         oblivious_sum +=
             execute_oblivious(&scenario.instance, &schedule, &cfg).unwrap_or(MAX_STEPS as u64);
         let report = drive_session(&scenario.instance, &cfg, |line| {
-            Some(service.handle_line(line))
+            Some(service.handle(line, &StageContext::now(0)))
         })
         .expect("adaptive session drives");
         assert_eq!(report.unknown_session_errors, 0);

@@ -1,14 +1,16 @@
 //! Concurrency stress battery for the sharded schedule cache, the
 //! single-flight layer and the pipelined executor's admission control.
 
+mod common;
+
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 
+use common::call;
 use suu_core::{InstanceBuilder, SuuInstance};
 use suu_service::{
-    spawn_tcp, ExecutionMode, PipelineConfig, Request, Response, SchedulerService, ServiceConfig,
-    TcpServerConfig,
+    spawn_tcp, PipelineConfig, Request, Response, SchedulerService, ServiceConfig, TcpServerConfig,
 };
 use suu_workloads::uniform_matrix;
 
@@ -20,7 +22,7 @@ fn chain_instance(seed: u64) -> SuuInstance {
         .unwrap()
 }
 
-/// N threads hammering K distinct instances through the coalesced path must
+/// N threads hammering K distinct instances through `handle` must
 /// trigger exactly K solver invocations: every concurrent duplicate either
 /// waits on the leader's flight or hits the cache, never re-solves.
 #[test]
@@ -48,14 +50,14 @@ fn n_threads_on_k_instances_trigger_exactly_k_fresh_solves() {
                     let which = round % instances.len();
                     let request =
                         Request::from_instance((t * 1000 + round) as u64, &instances[which]);
-                    let response = service.handle_request_coalesced(&request);
+                    let response = call(&service, &request);
                     responses.push((which, response));
                     // And a second pass over a *different* instance to mix
                     // cache hits into the contention window.
                     let other = (round + t) % instances.len();
                     let request =
                         Request::from_instance((t * 1000 + 500 + round) as u64, &instances[other]);
-                    responses.push((other, service.handle_request_coalesced(&request)));
+                    responses.push((other, call(&service, &request)));
                 }
                 responses
             })
@@ -98,43 +100,8 @@ fn n_threads_on_k_instances_trigger_exactly_k_fresh_solves() {
     assert_eq!(service.cache().len(), K);
 
     // No poisoned locks: the service still serves.
-    let after = service.handle_request(&Request::from_instance(42, &instances[0]));
+    let after = call(&service, &Request::from_instance(42, &instances[0]));
     assert!(after.ok && after.cache_hit);
-}
-
-/// The serial (non-coalescing) path is allowed to duplicate solves under the
-/// same contention — that contrast is what the single-flight layer buys.
-#[test]
-fn serial_path_may_duplicate_but_stays_consistent() {
-    const THREADS: usize = 8;
-    let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
-    let instance = chain_instance(0xD1CE);
-    let barrier = Arc::new(Barrier::new(THREADS));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let service = Arc::clone(&service);
-            let instance = instance.clone();
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                service.handle_request(&Request::from_instance(t as u64, &instance))
-            })
-        })
-        .collect();
-    let responses: Vec<Response> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let first = serde_json::to_string(responses[0].schedule.as_ref().unwrap()).unwrap();
-    for resp in &responses {
-        assert!(resp.ok);
-        // Deterministic solvers: even racing duplicates agree bit for bit.
-        assert_eq!(
-            serde_json::to_string(resp.schedule.as_ref().unwrap()).unwrap(),
-            first
-        );
-    }
-    let snapshot = service.metrics().snapshot();
-    assert!(snapshot.fresh_solves >= 1);
-    assert_eq!(snapshot.coalesced, 0, "serial path never coalesces");
-    assert_eq!(service.cache().len(), 1, "duplicates collapse in the cache");
 }
 
 /// Flooding a tiny queue must produce structured `busy` rejections — not
@@ -150,10 +117,10 @@ fn admission_control_rejects_with_busy_and_connection_survives() {
         &TcpServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            mode: ExecutionMode::Pipelined(PipelineConfig {
+            pipeline: PipelineConfig {
                 solver_threads: 1,
                 queue_capacity: 2,
-            }),
+            },
         },
     )
     .unwrap();

@@ -1,16 +1,18 @@
 //! Protocol fuzz battery: malformed NDJSON lines must produce exactly one
 //! structured error response per line — never a dropped line, a killed
-//! connection, or a dead worker — on every transport (stdin-style serial,
-//! stdin-style pipelined, TCP serial, TCP pipelined).
+//! connection, or a dead worker — on both transports (stdin and TCP).
+
+mod common;
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
+use common::{call, serve_stdin};
 use suu_core::InstanceBuilder;
 use suu_service::{
-    error_kind, spawn_tcp, ExecutionMode, PipelineConfig, Request, Response, SchedulerService,
-    ServiceConfig, SolverPool, TcpServerConfig,
+    error_kind, spawn_tcp, PipelineConfig, Request, Response, SchedulerService, ServiceConfig,
+    TcpServerConfig,
 };
 use suu_workloads::uniform_matrix;
 
@@ -121,64 +123,43 @@ fn assert_battery_outcome(output: &str, expect_bad: usize, expect_ok: usize) {
     }
 }
 
+/// Two solver threads: responses interleave out of order, as in production.
+fn two_threads() -> PipelineConfig {
+    PipelineConfig {
+        solver_threads: 2,
+        queue_capacity: 256,
+    }
+}
+
 #[test]
-fn stdin_serial_survives_the_malformed_corpus() {
-    let svc = SchedulerService::new(ServiceConfig::default());
+fn stdin_pipelined_survives_the_malformed_corpus() {
+    let svc = Arc::new(SchedulerService::new(ServiceConfig::default()));
     let (input, expect_bad, expect_ok) = interleaved_battery();
-    let mut output = Vec::new();
-    svc.serve_lines(input.as_bytes(), &mut output).unwrap();
-    assert_battery_outcome(&String::from_utf8(output).unwrap(), expect_bad, expect_ok);
+    let output = serve_stdin(&svc, &input, &two_threads());
+    assert_battery_outcome(&output, expect_bad, expect_ok);
     // Lines that parse as requests but fail validation are counted as
     // errors; pure protocol noise is answered without entering the metrics.
     let snap = svc.metrics().snapshot();
     assert!(snap.errors >= 1 && (snap.errors as usize) <= expect_bad);
     assert_eq!(snap.requests - snap.errors, expect_ok as u64);
-}
-
-#[test]
-fn stdin_pipelined_survives_the_malformed_corpus() {
-    // Shared buffer because serve_lines_pipelined takes the writer by value.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    let svc = Arc::new(SchedulerService::new(ServiceConfig::default()));
-    let pool = SolverPool::spawn(
-        Arc::clone(&svc),
-        &PipelineConfig {
-            solver_threads: 2,
-            queue_capacity: 256,
-        },
-    );
-    let (input, expect_bad, expect_ok) = interleaved_battery();
-    let buf = SharedBuf::default();
-    svc.serve_lines_pipelined(input.as_bytes(), buf.clone(), &pool.handle())
-        .unwrap();
-    pool.shutdown();
-    let output = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-    assert_battery_outcome(&output, expect_bad, expect_ok);
 
     // The workers survived: a fresh request still gets served.
-    let after = svc.handle_request(&serde_json::from_str(&valid_request_line(9_999)).unwrap());
+    let after = call(
+        &svc,
+        &serde_json::from_str(&valid_request_line(9_999)).unwrap(),
+    );
     assert!(after.ok, "service must keep serving after the fuzz corpus");
 }
 
-fn tcp_battery(mode: ExecutionMode) {
+#[test]
+fn tcp_pipelined_survives_the_malformed_corpus() {
     let svc = Arc::new(SchedulerService::new(ServiceConfig::default()));
     let handle = spawn_tcp(
         Arc::clone(&svc),
         &TcpServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            mode,
+            pipeline: two_threads(),
         },
     )
     .unwrap();
@@ -217,49 +198,16 @@ fn tcp_battery(mode: ExecutionMode) {
 }
 
 #[test]
-fn tcp_serial_survives_the_malformed_corpus() {
-    tcp_battery(ExecutionMode::Serial);
-}
-
-#[test]
-fn tcp_pipelined_survives_the_malformed_corpus() {
-    tcp_battery(ExecutionMode::Pipelined(PipelineConfig {
-        solver_threads: 2,
-        queue_capacity: 256,
-    }));
-}
-
-#[test]
 fn oversized_lines_error_without_killing_the_pipelined_connection() {
     let svc = Arc::new(SchedulerService::new(ServiceConfig {
         max_line_bytes: 512,
         ..ServiceConfig::default()
     }));
-    let pool = SolverPool::spawn(Arc::clone(&svc), &PipelineConfig::default());
     let good = valid_request_line(77);
     assert!(good.len() <= 512, "test request must fit the limit");
     let huge = "x".repeat(10_000);
     let input = format!("{huge}\n{good}\n{huge}{huge}");
-    let mut sink = Vec::new();
-    {
-        #[derive(Clone)]
-        struct SharedVec(Arc<std::sync::Mutex<Vec<u8>>>);
-        impl Write for SharedVec {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let shared = SharedVec(Arc::new(std::sync::Mutex::new(Vec::new())));
-        svc.serve_lines_pipelined(input.as_bytes(), shared.clone(), &pool.handle())
-            .unwrap();
-        sink.extend_from_slice(&shared.0.lock().unwrap());
-    }
-    pool.shutdown();
-    let output = String::from_utf8(sink).unwrap();
+    let output = serve_stdin(&svc, &input, &PipelineConfig::default());
     let responses: Vec<Response> = output
         .lines()
         .map(|l| serde_json::from_str(l).unwrap())

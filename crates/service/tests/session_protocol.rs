@@ -1,6 +1,6 @@
 //! Integration gate for the adaptive-session subsystem: the `open_session` /
-//! `session_event` / `close_session` verbs over both execution modes and
-//! both transports (stdin × serial/pipelined, TCP × serial/pipelined).
+//! `session_event` / `close_session` verbs over both transports (stdin and
+//! TCP).
 //!
 //! The contract under test:
 //!
@@ -22,33 +22,20 @@
 //! * the `stats` verb reports the session counters and revision-latency
 //!   histogram the loadgen and CI grep for.
 
+mod common;
+
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{deterministic_pipeline, serve_stdin};
 use serde::Value;
 use suu_service::{
-    drive_session, open_session_line, spawn_tcp, DriveConfig, ExecutionMode, PipelineConfig,
-    SchedulerService, ServiceConfig, SolverPool, TcpServerConfig,
+    drive_session, open_session_line, spawn_tcp, DriveConfig, SchedulerService, ServiceConfig,
+    StageContext, TcpServerConfig,
 };
 use suu_workloads::machine_failure_scenario;
-
-/// A `Write` into a shared buffer (the pipelined transport takes ownership
-/// of its writer).
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
 
 /// Walks `path` into `value` and returns the number found there.
 fn number(value: &Value, path: &[&str]) -> f64 {
@@ -188,66 +175,34 @@ fn check_lifecycle(responses: &[Value], transport: &str) {
     assert_unknown_session(by_id[&8], &format!("{transport}: event after close"));
 }
 
-fn run_stdin(mode: &ExecutionMode) -> Vec<Value> {
-    let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
-    let input = lifecycle_corpus().join("\n") + "\n";
-    let output = SharedBuf::default();
-    match mode {
-        ExecutionMode::Serial => {
-            service
-                .serve_lines(input.as_bytes(), output.clone())
-                .unwrap();
-        }
-        ExecutionMode::Pipelined(config) => {
-            let pool = SolverPool::spawn(Arc::clone(&service), config);
-            service
-                .serve_lines_pipelined(input.as_bytes(), output.clone(), &pool.handle())
-                .unwrap();
-            pool.shutdown();
-        }
-    }
-    let bytes = output.0.lock().unwrap().clone();
-    parse_lines(&String::from_utf8(bytes).unwrap())
-}
-
-#[test]
-fn lifecycle_over_serial_stdin() {
-    let responses = run_stdin(&ExecutionMode::Serial);
-    check_lifecycle(&responses, "stdin/serial");
-}
-
 #[test]
 fn lifecycle_over_pipelined_stdin() {
     // One solver thread keeps the response order deterministic; the session
     // gate is still exercised (every line of session 1 carries the token).
-    let responses = run_stdin(&ExecutionMode::Pipelined(PipelineConfig {
-        solver_threads: 1,
-        queue_capacity: 1024,
-    }));
-    check_lifecycle(&responses, "stdin/pipelined");
+    let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
+    let input = lifecycle_corpus().join("\n") + "\n";
+    let output = serve_stdin(&service, &input, &deterministic_pipeline());
+    check_lifecycle(&parse_lines(&output), "stdin");
 }
 
-fn spawn(mode: ExecutionMode) -> suu_service::ServiceHandle {
+fn spawn() -> suu_service::ServiceHandle {
     spawn_tcp(
         Arc::new(SchedulerService::new(ServiceConfig::default())),
-        &TcpServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 4,
-            mode,
-        },
+        &TcpServerConfig::default(),
     )
     .unwrap()
 }
 
-fn run_tcp_lifecycle(mode: ExecutionMode, transport: &str) {
-    let handle = spawn(mode);
+#[test]
+fn lifecycle_over_tcp_pipelined() {
+    let handle = spawn();
     let stream = TcpStream::connect(handle.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = BufWriter::new(stream);
     let lines = lifecycle_corpus();
     let mut responses = Vec::new();
     // Lock-step request/response: revisions must arrive in submission order
-    // within the session no matter the execution mode.
+    // within the session.
     for line in &lines {
         writeln!(writer, "{line}").unwrap();
         writer.flush().unwrap();
@@ -257,21 +212,8 @@ fn run_tcp_lifecycle(mode: ExecutionMode, transport: &str) {
     }
     drop(writer);
     drop(reader);
-    check_lifecycle(&responses, transport);
+    check_lifecycle(&responses, "tcp");
     handle.shutdown();
-}
-
-#[test]
-fn lifecycle_over_tcp_serial() {
-    run_tcp_lifecycle(ExecutionMode::Serial, "tcp/serial");
-}
-
-#[test]
-fn lifecycle_over_tcp_pipelined() {
-    run_tcp_lifecycle(
-        ExecutionMode::Pipelined(PipelineConfig::default()),
-        "tcp/pipelined",
-    );
 }
 
 /// Two sessions on distinct TCP connections drive full adaptive executions
@@ -279,7 +221,7 @@ fn lifecycle_over_tcp_pipelined() {
 /// the server ends with zero open sessions (both closed cleanly).
 #[test]
 fn concurrent_sessions_fan_out_over_tcp() {
-    let handle = spawn(ExecutionMode::Pipelined(PipelineConfig::default()));
+    let handle = spawn();
     let addr = handle.addr();
     let workers: Vec<_> = (0..2u64)
         .map(|k| {
@@ -324,43 +266,43 @@ fn concurrent_sessions_fan_out_over_tcp() {
     handle.shutdown();
 }
 
-/// Dropping the TCP connection without `close_session` evicts the
-/// connection's sessions (both execution modes own an eviction path).
+/// Ending a connection without `close_session` evicts the connection's
+/// sessions, on both transports: EOF on stdin, a dropped TCP connection.
 #[test]
 fn disconnect_evicts_sessions_on_both_modes() {
-    for (mode, name) in [
-        (ExecutionMode::Serial, "serial"),
-        (
-            ExecutionMode::Pipelined(PipelineConfig::default()),
-            "pipelined",
-        ),
-    ] {
-        let handle = spawn(mode);
-        let scenario = machine_failure_scenario(3);
-        {
-            let stream = TcpStream::connect(handle.addr()).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = BufWriter::new(stream);
-            writeln!(writer, "{}", open_session_line(1, &scenario.instance)).unwrap();
-            writer.flush().unwrap();
-            let mut reply = String::new();
-            assert!(reader.read_line(&mut reply).unwrap() > 0);
-            let open = serde_json::parse(reply.trim_end()).unwrap();
-            assert_eq!(open.get("ok"), Some(&Value::Bool(true)), "{name}");
-            assert_eq!(handle.service().sessions().len(), 1, "{name}");
-        } // connection drops here, without close_session
+    let scenario = machine_failure_scenario(3);
+    let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
+    let input = open_session_line(1, &scenario.instance) + "\n";
+    let output = serve_stdin(&service, &input, &deterministic_pipeline());
+    let open = serde_json::parse(output.trim_end()).unwrap();
+    assert_eq!(open.get("ok"), Some(&Value::Bool(true)), "stdin");
+    assert_eq!(service.metrics().snapshot().sessions_evicted, 1, "stdin");
+    assert!(service.sessions().is_empty(), "stdin");
 
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while handle.service().metrics().snapshot().sessions_evicted == 0 {
-            assert!(
-                Instant::now() < deadline,
-                "{name}: disconnect never evicted the session"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(handle.service().sessions().is_empty(), "{name}");
-        handle.shutdown();
+    let handle = spawn();
+    {
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        writeln!(writer, "{}", open_session_line(1, &scenario.instance)).unwrap();
+        writer.flush().unwrap();
+        let mut reply = String::new();
+        assert!(reader.read_line(&mut reply).unwrap() > 0);
+        let open = serde_json::parse(reply.trim_end()).unwrap();
+        assert_eq!(open.get("ok"), Some(&Value::Bool(true)));
+        assert_eq!(handle.service().sessions().len(), 1);
+    } // connection drops here, without close_session
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.service().metrics().snapshot().sessions_evicted == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "disconnect never evicted the session"
+        );
+        std::thread::sleep(Duration::from_millis(5));
     }
+    assert!(handle.service().sessions().is_empty());
+    handle.shutdown();
 }
 
 /// An expired idle TTL evicts on the next session verb: the follow-up event
@@ -372,13 +314,17 @@ fn idle_ttl_evicts_quiet_sessions() {
         ..ServiceConfig::default()
     });
     let scenario = machine_failure_scenario(5);
-    let open =
-        serde_json::parse(&service.handle_line(&open_session_line(1, &scenario.instance))).unwrap();
+    let open = serde_json::parse(&service.handle(
+        &open_session_line(1, &scenario.instance),
+        &StageContext::now(0),
+    ))
+    .unwrap();
     assert_eq!(open.get("ok"), Some(&Value::Bool(true)));
     std::thread::sleep(Duration::from_millis(20));
-    let reply = serde_json::parse(
-        &service.handle_line(r#"{"id":2,"verb":"session_event","session":1,"step":1}"#),
-    )
+    let reply = serde_json::parse(&service.handle(
+        r#"{"id":2,"verb":"session_event","session":1,"step":1}"#,
+        &StageContext::now(0),
+    ))
     .unwrap();
     assert_unknown_session(&reply, "ttl-expired session");
     let snapshot = service.metrics().snapshot();
@@ -395,11 +341,17 @@ fn full_table_answers_busy() {
         ..ServiceConfig::default()
     });
     let scenario = machine_failure_scenario(9);
-    let first =
-        serde_json::parse(&service.handle_line(&open_session_line(1, &scenario.instance))).unwrap();
+    let first = serde_json::parse(&service.handle(
+        &open_session_line(1, &scenario.instance),
+        &StageContext::now(0),
+    ))
+    .unwrap();
     assert_eq!(first.get("ok"), Some(&Value::Bool(true)));
-    let second =
-        serde_json::parse(&service.handle_line(&open_session_line(2, &scenario.instance))).unwrap();
+    let second = serde_json::parse(&service.handle(
+        &open_session_line(2, &scenario.instance),
+        &StageContext::now(0),
+    ))
+    .unwrap();
     assert_eq!(second.get("ok"), Some(&Value::Bool(false)));
     assert_eq!(
         second.get("error_kind"),

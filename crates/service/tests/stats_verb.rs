@@ -1,6 +1,5 @@
 //! Integration gate for the observability surface: the `stats` verb and the
-//! opt-in per-response `trace` object, over all four transport × execution
-//! mode combos (stdin/TCP × serial/pipelined).
+//! opt-in per-response `trace` object, over both transports (stdin and TCP).
 //!
 //! The contract under test:
 //!
@@ -16,14 +15,16 @@
 //!   `stats_consistency=` line greps for);
 //! * unknown verbs get a structured `bad_request`, not a hung connection.
 
+mod common;
+
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
+use common::{deterministic_pipeline, serve_stdin};
 use serde::Value;
 use suu_service::{
-    build_request_pool, spawn_tcp, ExecutionMode, PipelineConfig, SchedulerService, ServiceConfig,
-    SolveOptions, SolverPool, TcpServerConfig,
+    build_request_pool, spawn_tcp, SchedulerService, ServiceConfig, SolveOptions, TcpServerConfig,
 };
 
 /// Scheduling requests per run; the first [`TRACED`] opt into tracing.
@@ -51,65 +52,26 @@ fn corpus() -> Vec<String> {
     lines
 }
 
-/// A single solver thread drains the queue in FIFO order, so the `stats`
-/// line (submitted last) observes every solve's counters settled.
-fn deterministic_pipeline() -> PipelineConfig {
-    PipelineConfig {
-        solver_threads: 1,
-        queue_capacity: 1024,
-    }
-}
-
-/// A `Write` into a shared buffer (the pipelined transport takes ownership
-/// of its writer).
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-fn run_stdin(mode: &ExecutionMode) -> Vec<String> {
+/// Serves the corpus over the stdin transport. A single solver thread
+/// drains the queue in FIFO order, so the `stats` line (submitted last)
+/// observes every solve's counters settled.
+fn run_stdin() -> Vec<String> {
     let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
     let input = corpus().join("\n") + "\n";
-    let output = SharedBuf::default();
-    match mode {
-        ExecutionMode::Serial => {
-            service
-                .serve_lines(input.as_bytes(), output.clone())
-                .unwrap();
-        }
-        ExecutionMode::Pipelined(config) => {
-            let pool = SolverPool::spawn(Arc::clone(&service), config);
-            service
-                .serve_lines_pipelined(input.as_bytes(), output.clone(), &pool.handle())
-                .unwrap();
-            pool.shutdown();
-        }
-    }
-    let bytes = output.0.lock().unwrap().clone();
-    String::from_utf8(bytes)
-        .unwrap()
+    serve_stdin(&service, &input, &deterministic_pipeline())
         .lines()
         .map(str::to_string)
         .collect()
 }
 
-fn run_tcp(mode: ExecutionMode) -> Vec<String> {
+fn run_tcp() -> Vec<String> {
     let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
     let handle = spawn_tcp(
         service,
         &TcpServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
-            mode,
+            pipeline: deterministic_pipeline(),
         },
     )
     .unwrap();
@@ -162,7 +124,7 @@ fn response_by_id(lines: &[String]) -> std::collections::HashMap<u64, Value> {
 }
 
 #[allow(clippy::cast_precision_loss)]
-fn check(lines: &[String], pipelined: bool, transport: &str) {
+fn check(lines: &[String], transport: &str) {
     assert_eq!(lines.len(), SOLVES + 2, "{transport}: response count");
     let by_id = response_by_id(lines);
 
@@ -233,18 +195,14 @@ fn check(lines: &[String], pipelined: bool, transport: &str) {
             "{transport}: stage `{stage}` count must equal handled requests"
         );
     }
+    // Every job (including the stats line itself, dequeued before it
+    // snapshots) records time in the queue.
     let queue_count = number(stats, &["stages", "queue", "count"]) as u64;
-    if pipelined {
-        // Every job (including the stats line itself, dequeued before it
-        // snapshots) records time in the queue.
-        assert!(queue_count >= SOLVES as u64, "{transport}: {queue_count}");
-        assert!(
-            number(stats, &["queue", "capacity"]) as u64 > 0,
-            "{transport}: pipelined mode advertises its queue capacity"
-        );
-    } else {
-        assert_eq!(queue_count, 0, "{transport}: serial path has no queue");
-    }
+    assert!(queue_count >= SOLVES as u64, "{transport}: {queue_count}");
+    assert!(
+        number(stats, &["queue", "capacity"]) as u64 > 0,
+        "{transport}: the stats snapshot advertises the queue capacity"
+    );
 
     // LP effort flowed through: mixed traffic always has LP-backed solves.
     assert!(number(stats, &["lp", "pivots"]) > 0.0, "{transport}");
@@ -284,29 +242,11 @@ fn check(lines: &[String], pipelined: bool, transport: &str) {
 }
 
 #[test]
-fn stats_and_trace_over_stdin_serial() {
-    check(&run_stdin(&ExecutionMode::Serial), false, "stdin/serial");
-}
-
-#[test]
 fn stats_and_trace_over_stdin_pipelined() {
-    check(
-        &run_stdin(&ExecutionMode::Pipelined(deterministic_pipeline())),
-        true,
-        "stdin/pipelined",
-    );
-}
-
-#[test]
-fn stats_and_trace_over_tcp_serial() {
-    check(&run_tcp(ExecutionMode::Serial), false, "tcp/serial");
+    check(&run_stdin(), "stdin");
 }
 
 #[test]
 fn stats_and_trace_over_tcp_pipelined() {
-    check(
-        &run_tcp(ExecutionMode::Pipelined(deterministic_pipeline())),
-        true,
-        "tcp/pipelined",
-    );
+    check(&run_tcp(), "tcp");
 }
