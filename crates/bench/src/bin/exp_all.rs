@@ -1,4 +1,4 @@
-//! Runs every experiment (E1-E14, A1-A3, S1) and prints all tables; the rows
+//! Runs every experiment (E1-E14, A1-A3, S2) and prints all tables; the rows
 //! recorded in `EXPERIMENTS.md` were generated by this binary. Each
 //! experiment also persists its machine-readable `BENCH_<name>.json` record.
 //!

@@ -16,7 +16,6 @@ pub mod lp_scaling;
 pub mod mass_accumulation;
 pub mod mass_bounds;
 pub mod msm_ratio;
-pub mod service_throughput;
 
 use crate::report::Table;
 use crate::RunConfig;
@@ -55,14 +54,6 @@ pub fn registry() -> Vec<(&'static str, ExperimentRunner)> {
                 ablations::run_replication(c),
                 ablations::run_delay_strategies(c),
                 ablations::run_bucketing(c),
-            ]
-        }),
-        ("service_throughput", |c| {
-            vec![
-                service_throughput::run_sweep(c),
-                service_throughput::run_detail_comparison(c),
-                service_throughput::run_attribution(c),
-                service_throughput::run_warm_comparison(c),
             ]
         }),
         ("adaptive", |c| vec![adaptive::run(c)]),

@@ -15,6 +15,9 @@
 //! may return out of order (match them by `id`), identical concurrent solves
 //! are coalesced, and a full queue yields structured `busy` errors.
 //!
+//! An unknown flag, a missing value or an unparsable number prints the usage
+//! on stderr and exits with status 2.
+//!
 //! Status and metrics go to stderr; stdout carries only protocol responses.
 
 use std::sync::Arc;
@@ -23,6 +26,9 @@ use suu_service::{
     spawn_tcp, CacheConfig, PipelineConfig, SchedulerService, ServiceConfig, SolverPool,
     TcpServerConfig,
 };
+
+const USAGE: &str = "usage: suu_serviced (--stdin | --tcp ADDR) [--workers N] \
+[--solver-threads N] [--queue-capacity N] [--cache-shards N] [--cache-capacity N]";
 
 struct Args {
     stdin: bool,
@@ -33,39 +39,49 @@ struct Args {
     cache_capacity: usize,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let flag_value = |flag: &str| {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1).cloned())
+/// Parses the command line (without the program name). An unknown flag, a
+/// missing value or a value that is not a number is an error.
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        stdin: false,
+        tcp: None,
+        workers: 4,
+        pipeline: PipelineConfig::default(),
+        cache_shards: 8,
+        cache_capacity: 128,
     };
-    let defaults = PipelineConfig::default();
-    Args {
-        stdin: argv.iter().any(|a| a == "--stdin"),
-        tcp: flag_value("--tcp"),
-        workers: flag_value("--workers")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4),
-        pipeline: PipelineConfig {
-            solver_threads: flag_value("--solver-threads")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(defaults.solver_threads),
-            queue_capacity: flag_value("--queue-capacity")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(defaults.queue_capacity),
-        },
-        cache_shards: flag_value("--cache-shards")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8),
-        cache_capacity: flag_value("--cache-capacity")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(128),
+    while let Some(flag) = argv.next() {
+        let target = match flag.as_str() {
+            "--stdin" => {
+                args.stdin = true;
+                continue;
+            }
+            "--tcp" => {
+                args.tcp = Some(argv.next().ok_or("`--tcp` needs an address")?);
+                continue;
+            }
+            "--workers" => &mut args.workers,
+            "--solver-threads" => &mut args.pipeline.solver_threads,
+            "--queue-capacity" => &mut args.pipeline.queue_capacity,
+            "--cache-shards" => &mut args.cache_shards,
+            "--cache-capacity" => &mut args.cache_capacity,
+            _ => return Err(format!("unknown flag `{flag}`")),
+        };
+        let value = argv
+            .next()
+            .ok_or_else(|| format!("`{flag}` needs a value"))?;
+        *target = value
+            .parse()
+            .map_err(|_| format!("`{flag}` expects a number, got `{value}`"))?;
     }
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|err| {
+        eprintln!("suu_serviced: {err}\n{USAGE}");
+        std::process::exit(2);
+    });
     let service = Arc::new(SchedulerService::new(ServiceConfig {
         cache: CacheConfig {
             num_shards: args.cache_shards,

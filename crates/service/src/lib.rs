@@ -31,11 +31,9 @@
 //!   feedback in (`completed`, `failed_machine`, `drift`) and streams
 //!   incremental schedule revisions out, each re-solved on the unfinished
 //!   suffix only and warm-started from the previous revision's basis. Also
-//!   hosts the `suu-sim`-backed closed-loop driver used by the loadgen's
-//!   `--session` mode and the `exp_adaptive` experiment.
-//! * [`loadgen`] — a load generator replaying `suu-workloads` scenarios in
-//!   closed-loop or open-loop (in-flight-capped) arrival mode, reporting
-//!   p50/p99 latency and requests/sec.
+//!   hosts the `suu-sim`-backed closed-loop client driver
+//!   ([`drive_session`]) used by the `exp_adaptive` experiment and the
+//!   service benchmark.
 //! * [`metrics`] — request/error/latency/coalescing counters shared by the
 //!   transports, aggregated into lock-free per-stage histograms.
 //! * [`obs`] — the observability primitives underneath [`metrics`]: a
@@ -44,13 +42,13 @@
 //!   vocabulary. Surfaced on the wire through the `stats` verb and the
 //!   opt-in per-response `trace` object (see [`protocol`]).
 //!
-//! Binaries: `suu_serviced` (the daemon, `--stdin` or `--tcp ADDR`) and
-//! `loadgen` (the client; see the repository README for the schema and
-//! usage).
+//! Binary: `suu_serviced` (the daemon, `--stdin` or `--tcp ADDR`; see the
+//! repository README for the schema and usage). The service is measured end
+//! to end and layer by layer by the benchmark in `perfbench/` (see
+//! `perfbench/DESIGN.md`).
 
 pub mod cache;
 pub mod flight;
-pub mod loadgen;
 pub mod metrics;
 pub mod obs;
 pub mod pipeline;
@@ -62,10 +60,6 @@ pub mod solver;
 
 pub use cache::{CacheConfig, CachedSolve, ScheduleCache, ShardStats};
 pub use flight::SingleFlight;
-pub use loadgen::{
-    build_request_pool, run_loadgen, tenant_drift_bases, LoadReport, LoadgenConfig,
-    StageAttribution,
-};
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use obs::{AtomicHistogram, HistogramSnapshot, Stage};
 pub use pipeline::{PipelineConfig, PoolHandle, ResponseSink, SolverPool};

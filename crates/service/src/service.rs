@@ -200,13 +200,6 @@ pub struct ServiceConfig {
     pub max_estimate_trials: usize,
     /// Cap on simulated steps per estimation trial.
     pub estimate_max_steps: usize,
-    /// Whether fresh solves may start from a cached basis of a structurally
-    /// identical parent (and publish their own final basis for later
-    /// solves). Warm starts never change the computed schedule — the warm
-    /// path re-solves to the same optimum or falls back to a cold solve —
-    /// so this is safe to leave on; the switch exists so benchmarks can
-    /// measure the warm-vs-cold speedup at equal payloads.
-    pub warm_starts: bool,
     /// Cap on concurrently open adaptive sessions; opens beyond it are
     /// rejected with a structured `busy` error.
     pub max_sessions: usize,
@@ -224,7 +217,6 @@ impl Default for ServiceConfig {
             max_line_bytes: 4 * 1024 * 1024,
             max_estimate_trials: 1_000,
             estimate_max_steps: 100_000,
-            warm_starts: true,
             max_sessions: 1_024,
             session_idle_ttl_ms: 300_000,
         }
@@ -891,17 +883,8 @@ impl SchedulerService {
         // falls back to a cold solve whenever the donor doesn't fit, so the
         // schedule is the same either way — only the pivot count changes.
         let structural = instance.structural_digest();
-        let donor = if self.config.warm_starts {
-            self.cache.lookup_basis(structural, solver.name())
-        } else {
-            None
-        };
-        let result = if self.config.warm_starts {
-            solver.solve_warm(instance, limits, donor)
-        } else {
-            solver.solve(instance, limits)
-        };
-        match result {
+        let donor = self.cache.lookup_basis(structural, solver.name());
+        match solver.solve_warm(instance, limits, donor) {
             Ok(mut output) => {
                 self.metrics.record_fresh_solve();
                 if output.lp_warm {
@@ -910,15 +893,13 @@ impl SchedulerService {
                 if let (Some(pivots), Some(micros)) = (output.lp_pivots, output.lp_micros) {
                     self.metrics.record_lp(pivots, micros);
                 }
-                if self.config.warm_starts {
-                    if let Some(basis) = output.lp_basis.take() {
-                        self.cache.store_basis(
-                            structural,
-                            solver.name(),
-                            basis,
-                            output.lp_factors.take(),
-                        );
-                    }
+                if let Some(basis) = output.lp_basis.take() {
+                    self.cache.store_basis(
+                        structural,
+                        solver.name(),
+                        basis,
+                        output.lp_factors.take(),
+                    );
                 }
                 let solved = CachedSolve::new(
                     solver.name().to_string(),
@@ -1952,36 +1933,19 @@ mod tests {
         );
         assert_eq!(svc.metrics().snapshot().warm_hits, 1);
 
-        // With warm starts disabled the same traffic stays cold.
-        let cold_svc = SchedulerService::new(ServiceConfig {
-            warm_starts: false,
-            ..ServiceConfig::default()
-        });
-        for (id, seed) in [(1, 21), (2, 22)] {
-            let mut req = Request::from_instance(id, &chain_instance(seed));
-            req.options = Some(options);
-            let resp = call(&cold_svc, &req);
-            assert!(resp.ok);
-            assert!(!resp.trace.as_ref().unwrap().warm);
-        }
+        // A fresh service holds no donor basis, so the same instance solves
+        // cold there.
+        let cold_svc = service();
+        let cold_again = call(&cold_svc, &second);
+        assert!(cold_again.ok);
+        assert!(!cold_again.trace.as_ref().unwrap().warm);
         assert_eq!(cold_svc.metrics().snapshot().warm_hits, 0);
 
-        // Warm and cold services computed identical artifacts.
-        let warm_line = call(&svc, &{
-            let mut req = Request::from_instance(9, &chain_instance(22));
-            req.options = Some(options);
-            req
-        });
-        let cold_line = call(&cold_svc, &{
-            let mut req = Request::from_instance(9, &chain_instance(22));
-            req.options = Some(options);
-            req
-        });
         // A warm start may land on a different optimal vertex than the cold
         // pivot path (degenerate optima), so the schedules need not be
         // byte-identical — the parity contract is on the objective.
-        let warm_obj = warm_line.lp_value.expect("chains solve reports lp_value");
-        let cold_obj = cold_line.lp_value.expect("chains solve reports lp_value");
+        let warm_obj = warm.lp_value.expect("chains solve reports lp_value");
+        let cold_obj = cold_again.lp_value.expect("chains solve reports lp_value");
         assert!(
             (warm_obj - cold_obj).abs() <= 1e-9 * cold_obj.abs().max(1.0),
             "warm/cold objective mismatch: {warm_obj} vs {cold_obj}"

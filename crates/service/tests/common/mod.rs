@@ -7,6 +7,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use suu_service::{PipelineConfig, Request, Response, SchedulerService, SolverPool, StageContext};
+use suu_workloads::{bursty_multi_tenant_stream, BurstConfig};
 
 /// Serialises `request`, answers it through [`SchedulerService::handle`] and
 /// parses the response line.
@@ -62,4 +63,25 @@ pub fn deterministic_pipeline() -> PipelineConfig {
         solver_threads: 1,
         queue_capacity: 1024,
     }
+}
+
+/// The `mixed` shape of the bursty multi-tenant stream: nine small tenants,
+/// so every few requests interleave all three structural classes.
+pub fn mixed_burst(seed: u64) -> BurstConfig {
+    BurstConfig {
+        num_tenants: 9,
+        jobs: (4, 8),
+        machines: (2, 4),
+        seed,
+        ..BurstConfig::default()
+    }
+}
+
+/// `total` requests (ids `1..=total`) replaying the bursty multi-tenant
+/// stream described by `config`, cycling it when it runs out.
+pub fn burst_pool(config: &BurstConfig, total: usize) -> Vec<Request> {
+    let (tenants, stream) = bursty_multi_tenant_stream(config);
+    (0..total)
+        .map(|k| Request::from_instance(k as u64 + 1, &tenants[stream[k % stream.len()]]))
+        .collect()
 }

@@ -13,17 +13,25 @@
 //! * malformed digests and out-of-range edits yield `invalid_delta`,
 //! * the coalescing/cache key of a delta request is the *post-application*
 //!   digest: a delta and the equivalent full payload share one cache entry.
+//!
+//! It also gates what warm starts buy: replayed in process, the
+//! `tenant_drift` stream re-solves its deltas warm in a small fraction of
+//! the pivots a cold solve of the same instance takes, at the same
+//! objective.
+
+mod common;
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
+use common::call;
 use suu_core::{InstanceBuilder, InstanceDelta, SuuInstance};
 use suu_service::{
     digest_to_wire, error_kind, spawn_tcp, EngineChoice, Request, Response, SchedulerService,
     ServiceConfig, ServiceHandle, SolveOptions, TcpServerConfig,
 };
-use suu_workloads::uniform_matrix;
+use suu_workloads::{tenant_drift_stream, uniform_matrix, DriftConfig};
 
 fn start_service() -> ServiceHandle {
     let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
@@ -282,4 +290,66 @@ fn delta_and_full_payload_coalesce_in_both_directions() {
     assert_eq!(full_second.lp_value, via_delta2.lp_value);
 
     handle.shutdown();
+}
+
+/// The warm-start gate, in pivots rather than wall-clock time so it is
+/// deterministic. The `tenant_drift` stream (tenant bases submitted in full,
+/// then mostly one-cell `set_prob` deltas against them) is replayed through
+/// one service; every delta's child instance is also solved on a fresh
+/// service, which holds no donor basis and so solves cold. Warm re-solves
+/// must reach the cold objective in at most 1/20 of the cold pivots.
+#[test]
+fn tenant_drift_deltas_warm_start_in_a_twentieth_of_the_cold_pivots() {
+    let (tenants, stream) = tenant_drift_stream(&DriftConfig {
+        num_tenants: 2,
+        requests: 120,
+        ..DriftConfig::default()
+    });
+    let service = SchedulerService::new(ServiceConfig::default());
+    let (mut deltas, mut warm_pivots, mut cold_pivots) = (0u64, 0u64, 0u64);
+    for (k, event) in stream.iter().enumerate() {
+        let id = k as u64 + 1;
+        let base = &tenants[event.tenant];
+        let Some(edit) = &event.edit else {
+            let mut full = Request::from_instance(id, base);
+            full.options = Some(traced_revised());
+            assert!(call(&service, &full).ok, "base {} failed", event.tenant);
+            continue;
+        };
+        let mut request = Request::from_delta(id, base.canonical_digest(), edit.clone());
+        request.options = Some(traced_revised());
+        let warm = call(&service, &request);
+        assert!(warm.ok, "delta {id} failed: {:?}", warm.error);
+
+        let mut cold_request = Request::from_instance(id, &base.apply_delta(edit).unwrap());
+        cold_request.options = Some(traced_revised());
+        let cold = call(
+            &SchedulerService::new(ServiceConfig::default()),
+            &cold_request,
+        );
+        assert!(cold.ok, "cold solve of delta {id} failed: {:?}", cold.error);
+        assert!(!cold.trace.as_ref().unwrap().warm);
+
+        let (w, c) = (warm.lp_value.unwrap(), cold.lp_value.unwrap());
+        assert!(
+            (w - c).abs() <= 1e-9 * c.abs().max(1.0),
+            "delta {id}: warm objective {w} vs cold {c}"
+        );
+        deltas += 1;
+        warm_pivots += warm.trace.unwrap().lp_pivots;
+        cold_pivots += cold.trace.unwrap().lp_pivots;
+    }
+
+    let metrics = service.metrics().snapshot();
+    assert!(deltas >= 100, "the stream is mostly deltas: {deltas}");
+    assert_eq!(metrics.unknown_base, 0, "every base stays cached");
+    assert!(
+        metrics.warm_hits * 10 >= deltas * 9,
+        "only {} of {deltas} deltas warm-started",
+        metrics.warm_hits
+    );
+    assert!(
+        cold_pivots >= 20 * warm_pivots,
+        "warm re-solves took {warm_pivots} pivots against {cold_pivots} cold"
+    );
 }

@@ -4,25 +4,28 @@
 //! and forest instances concurrently from four client threads, and verifies
 //! that (a) every response's schedule respects the instance's precedence
 //! constraints when executed, (b) repeated instances are served from the
-//! cache (observable via the `cache_hit` response field), (c) the load
-//! generator sustains ≥ 100 req/s on mixed small instances, recording the
-//! throughput in `BENCH_service_throughput.json`, and (d) a pipelined burst
-//! of duplicates never costs more solves than it has distinct instances.
+//! cache (observable via the `cache_hit` response field), (c) four
+//! closed-loop connections sustain ≥ 100 req/s on mixed small instances, and
+//! (d) four pipelined connections sustain ≥ 100 req/s on bursts of
+//! duplicates without costing more solves than they have distinct instances.
+
+mod common;
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Instant;
 
+use common::{burst_pool, mixed_burst};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use suu_core::{InstanceBuilder, JobId, SuuInstance};
 use suu_graph::Dag;
 use suu_service::{
-    build_request_pool, run_loadgen, spawn_tcp, LoadgenConfig, Request, Response, SchedulerService,
-    ServiceConfig, ServiceHandle, TcpServerConfig,
+    spawn_tcp, Request, Response, SchedulerService, ServiceConfig, ServiceHandle, TcpServerConfig,
 };
-use suu_workloads::uniform_matrix;
+use suu_workloads::{uniform_matrix, BurstConfig};
 
 fn start_service(workers: usize) -> ServiceHandle {
     let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
@@ -181,48 +184,112 @@ fn concurrent_clients_get_valid_schedules_and_cache_hits() {
     handle.shutdown();
 }
 
+/// Connections both parts of the throughput test drive.
+const CONNECTIONS: usize = 4;
+
+/// Splits `pool` round-robin over [`CONNECTIONS`] client threads, runs
+/// `client` on each against `addr`, and returns every response.
+fn fan_out(
+    addr: std::net::SocketAddr,
+    pool: &[Request],
+    client: fn(TcpStream, &[Request]) -> Vec<Response>,
+) -> Vec<Response> {
+    let threads: Vec<_> = (0..CONNECTIONS)
+        .map(|c| {
+            let share: Vec<Request> = pool.iter().skip(c).step_by(CONNECTIONS).cloned().collect();
+            std::thread::spawn(move || client(TcpStream::connect(addr).unwrap(), &share))
+        })
+        .collect();
+    threads
+        .into_iter()
+        .flat_map(|t| t.join().expect("client thread panicked"))
+        .collect()
+}
+
+/// Closed loop: one request in flight, each response read before the next
+/// request is sent.
+fn closed_loop(stream: TcpStream, requests: &[Request]) -> Vec<Response> {
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = BufWriter::new(stream);
+    requests
+        .iter()
+        .map(|request| roundtrip_on(&mut reader, &mut writer, request))
+        .collect()
+}
+
+/// Pipelined: bursts of up to [`PIPELINE_DEPTH`] lines written at once,
+/// then the burst's responses read back in whatever order the solver pool
+/// answers and matched to their requests by id.
+fn pipelined(stream: TcpStream, requests: &[Request]) -> Vec<Response> {
+    const PIPELINE_DEPTH: usize = 32;
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = BufWriter::new(stream);
+    let mut responses = Vec::with_capacity(requests.len());
+    for burst in requests.chunks(PIPELINE_DEPTH) {
+        for request in burst {
+            writeln!(writer, "{}", serde_json::to_string(request).unwrap()).unwrap();
+        }
+        writer.flush().unwrap();
+        let mut pending: HashSet<u64> = burst.iter().map(|r| r.id).collect();
+        while !pending.is_empty() {
+            let mut line = String::new();
+            assert!(
+                reader.read_line(&mut line).unwrap() > 0,
+                "connection closed"
+            );
+            let response: Response = serde_json::from_str(&line).unwrap();
+            assert!(
+                pending.remove(&response.id),
+                "response id {} matches no outstanding request",
+                response.id
+            );
+            responses.push(response);
+        }
+    }
+    responses
+}
+
 #[test]
-fn loadgen_sustains_100_rps_and_coalesces_bursty_duplicates() {
-    // Part 1: the absolute floor — closed-loop mixed traffic against the
-    // default (pipelined) service must sustain >= 100 req/s.
+fn tcp_clients_sustain_100_rps_and_coalesce_bursty_duplicates() {
+    // Part 1: the absolute floor — four closed-loop connections sending
+    // mixed bursty traffic must sustain >= 100 req/s.
+    let pool = burst_pool(&mixed_burst(0xACCE), 300);
     let handle = start_service(4);
-    let report = run_loadgen(&LoadgenConfig {
-        addr: handle.addr().to_string(),
-        scenario: "mixed".to_string(),
-        connections: 4,
-        total_requests: 300,
-        target_rps: None,
-        max_in_flight: 1,
-        collect_payloads: false,
-        deadline_ms: None,
-        detail: None,
-        trace: false,
-        session: false,
-        seed: 0xACCE,
-    })
-    .expect("load generation succeeds");
+    let started = Instant::now();
+    let responses = fan_out(handle.addr(), &pool, closed_loop);
+    let rps = responses.len() as f64 / started.elapsed().as_secs_f64();
     handle.shutdown();
 
-    assert_eq!(report.sent, 300);
-    assert_eq!(report.errors, 0, "all mixed requests must succeed");
+    assert_eq!(responses.len(), 300);
     assert!(
-        report.cache_hits > 0,
+        responses.iter().all(|r| r.ok),
+        "all mixed requests must succeed"
+    );
+    assert!(
+        responses.iter().any(|r| r.cache_hit),
         "bursty mixed traffic must exercise the cache"
     );
     assert!(
-        report.achieved_rps >= 100.0,
-        "throughput {:.1} req/s below the 100 req/s floor",
-        report.achieved_rps
+        rps >= 100.0,
+        "throughput {rps:.1} req/s below the 100 req/s floor"
     );
-    assert!(report.p99_micros >= report.p50_micros);
 
-    // Part 2: the bursty multi-tenant scenario through an open-loop client
-    // (64 requests in flight per connection). Every request must succeed
-    // without admission-control rejections, and since concurrent duplicates
-    // coalesce onto one solve, the service never solves more often than the
-    // pool has distinct instances.
-    let bursty_pool = build_request_pool("bursty", 600, 0xACCE).expect("scenario exists");
-    let distinct: HashSet<u64> = bursty_pool
+    // Part 2: the bursty multi-tenant stream, pipelined. Every request must
+    // succeed without admission-control rejections at >= 100 req/s, and
+    // since concurrent duplicates coalesce onto one solve, the service never
+    // solves more often than the pool has distinct instances. One tenant per
+    // 25 requests, each large enough that a fresh LP solve visibly outlasts a
+    // cache hit: the regime where connections racing the same burst would
+    // waste whole solves without coalescing.
+    let bursty = BurstConfig {
+        num_tenants: 24,
+        jobs: (24, 40),
+        machines: (4, 6),
+        seed: 0xACCE,
+        ..BurstConfig::default()
+    };
+    let pool = burst_pool(&bursty, 600);
+    let distinct: HashSet<u64> = pool
         .iter()
         .map(|r| {
             r.to_instance()
@@ -231,83 +298,25 @@ fn loadgen_sustains_100_rps_and_coalesces_bursty_duplicates() {
         })
         .collect();
     let handle = start_service(4);
-    let bursty = run_loadgen(&LoadgenConfig {
-        addr: handle.addr().to_string(),
-        scenario: "bursty".to_string(),
-        connections: 4,
-        total_requests: 600,
-        target_rps: None,
-        max_in_flight: 64,
-        collect_payloads: true,
-        deadline_ms: None,
-        detail: None,
-        trace: false,
-        session: false,
-        seed: 0xACCE,
-    })
-    .expect("load generation succeeds");
-    let bursty_metrics = handle.service().metrics().snapshot();
+    let started = Instant::now();
+    let responses = fan_out(handle.addr(), &pool, pipelined);
+    let rps = responses.len() as f64 / started.elapsed().as_secs_f64();
+    let metrics = handle.service().metrics().snapshot();
     handle.shutdown();
-    assert_eq!(bursty.sent, 600);
-    assert_eq!(bursty.errors, 0, "bursty run produced errors");
-    assert_eq!(bursty.busy, 0, "bursty run hit admission control");
+    assert_eq!(responses.len(), 600);
     assert!(
-        bursty_metrics.fresh_solves <= distinct.len() as u64,
+        !responses.iter().any(Response::is_busy),
+        "bursty run hit admission control"
+    );
+    assert!(responses.iter().all(|r| r.ok), "bursty run produced errors");
+    assert!(
+        rps >= 100.0,
+        "pipelined throughput {rps:.1} req/s below the 100 req/s floor"
+    );
+    assert!(
+        metrics.fresh_solves <= distinct.len() as u64,
         "coalescing must keep fresh solves ({}) within the distinct instances ({})",
-        bursty_metrics.fresh_solves,
+        metrics.fresh_solves,
         distinct.len()
     );
-
-    // Record the throughput where the perf trajectory is tracked, in the
-    // same BenchRecord schema suu-bench's `exp_service_throughput` writes
-    // (the two writers share the file, so they must share the shape; the
-    // local structs mirror suu_bench::report::{BenchRecord, Table}, which
-    // this crate cannot depend on without a cycle).
-    #[derive(serde::Serialize)]
-    struct TableRec {
-        title: String,
-        headers: Vec<String>,
-        rows: Vec<Vec<String>>,
-        notes: Vec<String>,
-    }
-    #[derive(serde::Serialize)]
-    struct BenchRec {
-        experiment: String,
-        wall_clock_secs: f64,
-        tables: Vec<TableRec>,
-    }
-    let record = BenchRec {
-        experiment: "service_throughput".to_string(),
-        wall_clock_secs: report.wall_secs,
-        tables: vec![TableRec {
-            title: "S1: service throughput (integration test, 4 connections)".to_string(),
-            headers: [
-                "scenario",
-                "requests",
-                "cache_hits",
-                "req/s",
-                "p50 us",
-                "p99 us",
-            ]
-            .map(String::from)
-            .to_vec(),
-            rows: vec![vec![
-                report.scenario.clone(),
-                report.sent.to_string(),
-                report.cache_hits.to_string(),
-                format!("{:.2}", report.achieved_rps),
-                format!("{:.2}", report.p50_micros),
-                format!("{:.2}", report.p99_micros),
-            ]],
-            notes: vec!["acceptance floor: >= 100 req/s on mixed small instances".to_string()],
-        }],
-    };
-    let out_dir =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-reports");
-    std::fs::create_dir_all(&out_dir).unwrap();
-    std::fs::write(
-        out_dir.join("BENCH_service_throughput.json"),
-        serde_json::to_string_pretty(&record).unwrap(),
-    )
-    .unwrap();
 }

@@ -20,7 +20,7 @@
 //!   expired idle TTL evicts on the next session verb, and a full table
 //!   answers `busy` instead of evicting someone else;
 //! * the `stats` verb reports the session counters and revision-latency
-//!   histogram the loadgen and CI grep for.
+//!   histogram.
 
 mod common;
 

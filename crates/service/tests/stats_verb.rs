@@ -11,8 +11,7 @@
 //!   towards the `requests` counter;
 //! * the per-stage histogram counts are *consistent*: every handled request
 //!   records the parse, solve and render stages exactly once, so their
-//!   counts equal `requests` (the acceptance invariant the loadgen's
-//!   `stats_consistency=` line greps for);
+//!   counts equal `requests`;
 //! * unknown verbs get a structured `bad_request`, not a hung connection.
 
 mod common;
@@ -21,22 +20,20 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use common::{deterministic_pipeline, serve_stdin};
+use common::{burst_pool, deterministic_pipeline, mixed_burst, serve_stdin};
 use serde::Value;
-use suu_service::{
-    build_request_pool, spawn_tcp, SchedulerService, ServiceConfig, SolveOptions, TcpServerConfig,
-};
+use suu_service::{spawn_tcp, SchedulerService, ServiceConfig, SolveOptions, TcpServerConfig};
 
 /// Scheduling requests per run; the first [`TRACED`] opt into tracing.
 const SOLVES: usize = 6;
 const TRACED: usize = 3;
 const STATS_ID: u64 = 99;
 
-/// The request corpus: `SOLVES` mixed-scenario solves (ids 1..=SOLVES, the
+/// The request corpus: `SOLVES` mixed-burst solves (ids 1..=SOLVES, the
 /// first `TRACED` with `options.trace`), then a `stats` verb and an unknown
 /// verb.
 fn corpus() -> Vec<String> {
-    let mut pool = build_request_pool("mixed", SOLVES, 7).expect("scenario exists");
+    let mut pool = burst_pool(&mixed_burst(7), SOLVES);
     for request in pool.iter_mut().take(TRACED) {
         request.options = Some(SolveOptions {
             trace: true,
@@ -199,6 +196,13 @@ fn check(lines: &[String], transport: &str) {
     // snapshots) records time in the queue.
     let queue_count = number(stats, &["stages", "queue", "count"]) as u64;
     assert!(queue_count >= SOLVES as u64, "{transport}: {queue_count}");
+    // The single solver thread writes each response before it dequeues the
+    // next line, so every solve's write is recorded before the snapshot.
+    assert_eq!(
+        number(stats, &["stages", "flush", "count"]) as u64,
+        SOLVES as u64,
+        "{transport}: every answered solve records its flush"
+    );
     assert!(
         number(stats, &["queue", "capacity"]) as u64 > 0,
         "{transport}: the stats snapshot advertises the queue capacity"

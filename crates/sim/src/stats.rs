@@ -192,9 +192,9 @@ pub fn bucket_quantile_index(counts: &[u64], q: f64) -> Option<usize> {
 /// An exact sample set for quantile queries.
 ///
 /// [`OnlineStats`] is constant-space but cannot answer percentile questions;
-/// latency reporting (p50/p99 in the service load generator) needs the actual
-/// order statistics. `SampleSet` stores every observation and sorts lazily on
-/// the first quantile query after a push.
+/// exact p50/p99 reporting needs the actual order statistics. `SampleSet`
+/// stores every observation and sorts lazily on the first quantile query
+/// after a push.
 #[derive(Debug, Clone, Default)]
 pub struct SampleSet {
     values: Vec<f64>,

@@ -31,8 +31,8 @@ pub use probability::{
     bimodal_matrix, skill_matrix, sparse_uniform_matrix, uniform_matrix, ProbabilityModel,
 };
 pub use scenario::{
-    bottleneck_instance, bursty_multi_tenant_stream, deadline_burst_stream, diurnal_drift_scenario,
-    drain_join_scenario, figure1_instance, flash_crowd_sessions, grid_computing_instance,
-    machine_failure_scenario, project_management_instance, session_scenarios, tenant_drift_stream,
-    BurstConfig, DriftConfig, DriftRequest, GridConfig, ProjectConfig, SessionScenario,
+    bottleneck_instance, bursty_multi_tenant_stream, diurnal_drift_scenario, drain_join_scenario,
+    figure1_instance, flash_crowd_sessions, grid_computing_instance, machine_failure_scenario,
+    project_management_instance, session_scenarios, tenant_drift_stream, BurstConfig, DriftConfig,
+    DriftRequest, GridConfig, ProjectConfig, SessionScenario,
 };

@@ -159,7 +159,7 @@ pub fn bottleneck_instance(num_jobs: usize, num_machines: usize, seed: u64) -> S
 }
 
 /// Configuration of a bursty multi-tenant request stream (the serving-layer
-/// workload replayed by the `suu-service` load generator).
+/// workload the `suu-service` integration tests replay).
 ///
 /// Each tenant owns one small instance; traffic arrives in bursts during
 /// which the tenant resubmits its instance many times (a deploy pipeline
@@ -204,30 +204,48 @@ impl Default for BurstConfig {
 /// different tenants are deterministically interleaved.
 #[must_use]
 pub fn bursty_multi_tenant_stream(config: &BurstConfig) -> (Vec<SuuInstance>, Vec<usize>) {
-    burst_stream_with(config, |k, n, seed| match k % 3 {
-        0 => Dag::independent(n),
-        1 => crate::precedence::random_chains(n, (n / 2).max(1), seed ^ 0xC0A1),
-        _ => random_directed_forest(n, (n / 3).max(1), seed ^ 0xF0_12),
-    })
-}
+    assert!(config.num_tenants > 0, "need at least one tenant");
+    assert!(
+        config.bursts_per_tenant > 0,
+        "need at least one burst per tenant"
+    );
+    assert!(config.jobs.0 >= 1 && config.jobs.0 <= config.jobs.1);
+    assert!(config.machines.0 >= 1 && config.machines.0 <= config.machines.1);
+    assert!(config.burst_len.0 >= 1 && config.burst_len.0 <= config.burst_len.1);
+    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
 
-/// The deadline-burst stream: shaped like
-/// [`bursty_multi_tenant_stream`], but every tenant is **LP-backed**
-/// (disjoint chains and directed forests alternating — no cheap independent
-/// tenants), so a fresh solve costs a real LP pipeline run. Replayed in
-/// bursts against a deadline-aware service, the first request of each burst
-/// occupies a solver while its duplicates stack up in the queue — exactly
-/// the regime where per-request deadlines (`time_budget_ms`) expire while
-/// queued and the dequeue-time drop path earns its keep.
-#[must_use]
-pub fn deadline_burst_stream(config: &BurstConfig) -> (Vec<SuuInstance>, Vec<usize>) {
-    burst_stream_with(config, |k, n, seed| {
-        if k % 2 == 0 {
-            crate::precedence::random_chains(n, (n / 2).max(1), seed ^ 0xC0A1)
-        } else {
-            random_directed_forest(n, (n / 3).max(1), seed ^ 0xF0_12)
+    let tenants: Vec<SuuInstance> = (0..config.num_tenants)
+        .map(|k| {
+            let n = rng.gen_range(config.jobs.0..=config.jobs.1);
+            let m = rng.gen_range(config.machines.0..=config.machines.1);
+            let seed = rng.gen::<u64>();
+            let probs = crate::probability::uniform_matrix(n, m, 0.2, 0.9, seed);
+            let dag = match k % 3 {
+                0 => Dag::independent(n),
+                1 => crate::precedence::random_chains(n, (n / 2).max(1), seed ^ 0xC0A1),
+                _ => random_directed_forest(n, (n / 3).max(1), seed ^ 0xF0_12),
+            };
+            SuuInstance::new(n, m, probs, dag).expect("generated tenant instance is valid")
+        })
+        .collect();
+
+    // One (tenant, burst length) entry per burst, shuffled, then flattened.
+    let mut bursts: Vec<(usize, usize)> = Vec::new();
+    for tenant in 0..config.num_tenants {
+        for _ in 0..config.bursts_per_tenant {
+            bursts.push((
+                tenant,
+                rng.gen_range(config.burst_len.0..=config.burst_len.1),
+            ));
         }
-    })
+    }
+    bursts.shuffle(&mut rng);
+
+    let requests: Vec<usize> = bursts
+        .iter()
+        .flat_map(|&(tenant, len)| std::iter::repeat_n(tenant, len))
+        .collect();
+    (tenants, requests)
 }
 
 /// Configuration of the tenant-drift stream (the warm-start workload).
@@ -334,52 +352,6 @@ pub fn tenant_drift_stream(config: &DriftConfig) -> (Vec<SuuInstance>, Vec<Drift
     }
     stream.truncate(config.requests);
     (tenants, stream)
-}
-
-/// Shared tenant/burst machinery behind the bursty streams: `structure`
-/// picks tenant `k`'s precedence DAG from its size and seed.
-fn burst_stream_with(
-    config: &BurstConfig,
-    structure: impl Fn(usize, usize, u64) -> Dag,
-) -> (Vec<SuuInstance>, Vec<usize>) {
-    assert!(config.num_tenants > 0, "need at least one tenant");
-    assert!(
-        config.bursts_per_tenant > 0,
-        "need at least one burst per tenant"
-    );
-    assert!(config.jobs.0 >= 1 && config.jobs.0 <= config.jobs.1);
-    assert!(config.machines.0 >= 1 && config.machines.0 <= config.machines.1);
-    assert!(config.burst_len.0 >= 1 && config.burst_len.0 <= config.burst_len.1);
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-
-    let tenants: Vec<SuuInstance> = (0..config.num_tenants)
-        .map(|k| {
-            let n = rng.gen_range(config.jobs.0..=config.jobs.1);
-            let m = rng.gen_range(config.machines.0..=config.machines.1);
-            let seed = rng.gen::<u64>();
-            let probs = crate::probability::uniform_matrix(n, m, 0.2, 0.9, seed);
-            let dag = structure(k, n, seed);
-            SuuInstance::new(n, m, probs, dag).expect("generated tenant instance is valid")
-        })
-        .collect();
-
-    // One (tenant, burst length) entry per burst, shuffled, then flattened.
-    let mut bursts: Vec<(usize, usize)> = Vec::new();
-    for tenant in 0..config.num_tenants {
-        for _ in 0..config.bursts_per_tenant {
-            bursts.push((
-                tenant,
-                rng.gen_range(config.burst_len.0..=config.burst_len.1),
-            ));
-        }
-    }
-    bursts.shuffle(&mut rng);
-
-    let requests: Vec<usize> = bursts
-        .iter()
-        .flat_map(|&(tenant, len)| std::iter::repeat_n(tenant, len))
-        .collect();
-    (tenants, requests)
 }
 
 // ---------------------------------------------------------------------------
@@ -520,7 +492,8 @@ pub fn flash_crowd_sessions(count: usize, seed: u64) -> Vec<SessionScenario> {
 
 /// The named adaptive-session scenario family measured by `exp_adaptive`:
 /// machine failure, heterogeneous drain, and diurnal drift (the flash crowd
-/// is a *load* shape, exercised by the load generator's `--session` mode).
+/// is a *load* shape, exercised by the service benchmark's `warm_drift`
+/// sessions).
 #[must_use]
 pub fn session_scenarios(seed: u64) -> Vec<SessionScenario> {
     vec![
@@ -618,27 +591,6 @@ mod tests {
         for t in 0..tenants.len() {
             assert!(reqs.contains(&t));
         }
-    }
-
-    #[test]
-    fn deadline_burst_stream_is_all_lp_backed_and_deterministic() {
-        let cfg = BurstConfig::default();
-        let (tenants_a, reqs_a) = deadline_burst_stream(&cfg);
-        let (tenants_b, reqs_b) = deadline_burst_stream(&cfg);
-        assert_eq!(tenants_a, tenants_b);
-        assert_eq!(reqs_a, reqs_b);
-        // No cheap independent tenants: every tenant routes to an LP-backed
-        // solver (chains or forest), which is what makes deadline pressure
-        // realistic.
-        for inst in &tenants_a {
-            assert_ne!(
-                inst.forest_kind(),
-                ForestKind::Independent,
-                "deadline-burst tenants must carry precedence structure"
-            );
-        }
-        // Bursts still produce immediate repetitions.
-        assert!(reqs_a.windows(2).any(|w| w[0] == w[1]));
     }
 
     #[test]
