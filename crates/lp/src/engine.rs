@@ -3,18 +3,23 @@
 //! The workspace ships two interchangeable simplex implementations:
 //!
 //! * [`crate::dense`] — the original two-phase dense tableau. Every pivot is a
-//!   full pass over the `(rows + 1) × (cols + 1)` tableau. Simple, and the
-//!   fastest option for tiny problems where the whole tableau fits in cache.
-//!   It doubles as the differential-testing oracle for the revised engine.
+//!   full pass over the `(rows + 1) × (cols + 1)` tableau, priced by
+//!   Dantzig's rule. Simple, and the fastest option for tiny problems where
+//!   the whole tableau fits in cache. It doubles as the differential-testing
+//!   oracle for the revised engine, and solves every row of the model: it
+//!   ignores lazy marks.
 //! * [`crate::revised`] — the revised simplex over CSR/CSC sparse structures
-//!   with a product-form (eta-file) basis factorisation. Per-pivot cost is
-//!   proportional to the number of non-zeros, not `rows × cols`, which is the
-//!   asymptotic win for the sparse (LP1)/(LP2) instances the paper's
-//!   algorithms generate.
+//!   with a sparse LU basis factorisation ([`crate::lu`]: Markowitz ordering,
+//!   Forrest–Tomlin updates) and devex pricing over a partial candidate list.
+//!   Per-pivot cost is proportional to the non-zeros touched, not
+//!   `rows × cols`, which is the asymptotic win for the sparse (LP1)/(LP2)
+//!   instances the paper's algorithms generate. It holds lazy rows back until
+//!   they are violated.
 //!
 //! [`solve`] auto-selects: dense below [`DENSE_CELL_THRESHOLD`] estimated
-//! tableau cells, revised above. Both engines share [`SimplexOptions`] and the
-//! Dantzig-with-Bland-fallback pivoting discipline.
+//! tableau cells (counted over every row, lazy or not), revised above. Both
+//! engines share [`SimplexOptions`], switch to Bland's anti-cycling rule after
+//! a run of degenerate pivots, and meter the same pivot budget and deadline.
 
 use crate::model::{Constraint, ConstraintOp, LpProblem};
 use crate::solution::{LpError, LpSolution, LpStatus};
@@ -97,11 +102,12 @@ pub struct SimplexOptions {
     pub stall_threshold: usize,
     /// Which engine to run.
     pub engine: Engine,
-    /// Revised engine only: number of eta updates accumulated before the
-    /// basis is refactorised from scratch (bounds both numerical drift and
-    /// the length of the eta file).
+    /// Revised engine only: number of Forrest–Tomlin updates accumulated
+    /// before the basis is refactorised from scratch (bounds numerical drift
+    /// and fill-in; floored at the row count).
     pub refactor_interval: usize,
-    /// Caller-supplied pivot budget across both phases. Exceeding it aborts
+    /// Caller-supplied pivot budget across both phases (and, on the revised
+    /// engine, across every lazy-row round). Exceeding it aborts
     /// the solve with [`LpError::BudgetExhausted`] — unlike
     /// [`max_iterations`](Self::max_iterations), which is the internal safety
     /// net and reports [`LpError::IterationLimit`]. A budget never changes a
@@ -204,7 +210,7 @@ pub(crate) fn solve_empty(problem: &LpProblem, options: &SimplexOptions) -> LpSo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Sense;
+    use crate::model::{Sense, VarId};
 
     #[test]
     fn auto_routes_tiny_problems_to_dense_and_large_to_revised() {
@@ -403,6 +409,107 @@ mod tests {
             assert!(sol.phase1_iterations >= 1, "{engine:?}");
             assert!(sol.phase1_iterations <= sol.iterations, "{engine:?}");
         }
+    }
+
+    /// maximise 2x + y + 3z  s.t.  x + y + z ≤ 10, with lazy caps x ≤ 3,
+    /// y ≤ 4, z ≤ 2 (optimum 16 at (3, 4, 2)), plus the same LP with the
+    /// caps left out. Without the caps the optimum is z = 10, which breaks
+    /// z ≤ 2; each re-solve then pushes the mass onto the next-best variable
+    /// past its own cap, so the revised engine needs four rounds.
+    fn capped_lp() -> (LpProblem, LpProblem) {
+        let mut lazy = LpProblem::new(Sense::Maximize);
+        let mut restricted = LpProblem::new(Sense::Maximize);
+        for lp in [&mut lazy, &mut restricted] {
+            let vars: Vec<_> = ["x", "y", "z"]
+                .iter()
+                .map(|name| lp.add_variable(*name))
+                .collect();
+            for (&v, c) in vars.iter().zip([2.0, 1.0, 3.0]) {
+                lp.set_objective_coefficient(v, c);
+            }
+            lp.add_constraint(
+                vars.iter().map(|&v| (v, 1.0)).collect(),
+                ConstraintOp::Le,
+                10.0,
+                "total",
+            );
+        }
+        for (v, cap) in [(0, 3.0), (1, 4.0), (2, 2.0)] {
+            lazy.add_lazy_constraint(vec![(VarId(v), 1.0)], ConstraintOp::Le, cap, "cap");
+        }
+        (lazy, restricted)
+    }
+
+    #[test]
+    fn budgets_span_every_lazy_round() {
+        let (lp, restricted) = capped_lp();
+        let revised = SimplexOptions {
+            engine: Engine::Revised,
+            ..SimplexOptions::default()
+        };
+        let free = solve(&lp, &revised).unwrap();
+        assert_eq!(free.status, LpStatus::Optimal);
+        assert!((free.objective - 16.0).abs() < 1e-9, "{}", free.objective);
+        let dense = solve(
+            &lp,
+            &SimplexOptions {
+                engine: Engine::Dense,
+                ..SimplexOptions::default()
+            },
+        )
+        .unwrap();
+        assert!((free.objective - dense.objective).abs() < 1e-9);
+        // The first round solves exactly the restricted model, whose
+        // optimum breaks a cap: later rounds did the remaining pivots.
+        let first = solve(&restricted, &revised).unwrap();
+        assert!(!lp.is_feasible(&first.values, 1e-6));
+        assert!(
+            free.iterations > first.iterations + 1,
+            "{} pivots in all, {} in round one",
+            free.iterations,
+            first.iterations
+        );
+        assert_eq!(free.phase1_iterations, first.phase1_iterations);
+
+        let exact = solve(
+            &lp,
+            &SimplexOptions {
+                pivot_budget: Some(free.iterations),
+                ..revised.clone()
+            },
+        )
+        .unwrap();
+        assert_eq!(free, exact);
+        let err = solve(
+            &lp,
+            &SimplexOptions {
+                pivot_budget: Some(free.iterations - 1),
+                ..revised.clone()
+            },
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            LpError::BudgetExhausted {
+                pivots: free.iterations - 1,
+                wall_clock: false
+            }
+        );
+        let err = solve(
+            &lp,
+            &SimplexOptions {
+                deadline: Some(std::time::Instant::now()),
+                ..revised
+            },
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            LpError::BudgetExhausted {
+                pivots: 0,
+                wall_clock: true
+            }
+        );
     }
 
     #[test]

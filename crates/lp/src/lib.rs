@@ -9,8 +9,8 @@
 //! variables. The crate therefore ships:
 //!
 //! * [`model::LpProblem`] — a tiny modelling layer: nonnegative variables,
-//!   `≤ / ≥ / =` constraints stored sparse as `(VarId, f64)` rows, minimise
-//!   or maximise.
+//!   `≤ / ≥ / =` constraints stored sparse as `(VarId, f64)` rows (optionally
+//!   marked *lazy*: expected slack at the optimum), minimise or maximise.
 //! * [`sparse::CsrMatrix`] — compressed-sparse-row storage with row
 //!   iteration, column gather and transpose (the CSC view).
 //! * [`dense`] — the original two-phase dense-tableau simplex: the engine for
@@ -21,7 +21,9 @@
 //!   refactorisation triggered by update count or fill-in growth.
 //! * [`revised`] — the revised simplex over CSR/CSC on top of those factors,
 //!   with devex reference-framework pricing fed by a partial candidate list;
-//!   per-pivot cost scales with the non-zeros instead of `rows × cols`.
+//!   per-pivot cost scales with the non-zeros instead of `rows × cols`. It
+//!   holds lazy rows back until a solution violates them, re-solving with
+//!   the dual simplex as it adds them.
 //! * [`engine::solve`] — the single entry point: picks the engine from
 //!   [`SimplexOptions::engine`] (`Auto` routes problems below a *measured*
 //!   tableau-cell crossover to dense, everything else to revised; see

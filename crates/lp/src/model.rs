@@ -1,14 +1,21 @@
 //! A small modelling layer for linear programs.
 //!
-//! Variables are non-negative reals with an optional finite upper bound;
-//! constraints are linear `≤ / ≥ / =` relations; the objective is a linear
-//! functional to minimise or maximise. This covers everything (LP1) and (LP2)
-//! of the paper need:
+//! Variables are non-negative reals (there is no bound API: an upper or
+//! lower bound is an ordinary one-variable row); constraints are linear
+//! `≤ / ≥ / =` relations; the objective is a linear functional to minimise or
+//! maximise. This covers everything (LP1) and (LP2) of the paper need:
 //!
 //! * `x_ij ≥ 0` (machine-steps assigned to a job),
 //! * `d_j ≥ 1` (modelled as a `≥` constraint),
 //! * mass / load / chain-length constraints,
+//! * `x_ij ≤ d_j` (added as *lazy* rows, see below),
 //! * `min t`.
+//!
+//! A constraint may be marked *lazy* ([`LpProblem::add_lazy_constraint`]):
+//! a hint that it is expected to be slack at the optimum. The mark never
+//! changes the problem being solved. The dense engine ignores it; the revised
+//! engine holds such rows back until a solution of the remaining rows
+//! violates them (see [`crate::revised`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -47,6 +54,11 @@ pub struct Constraint {
     pub rhs: f64,
     /// Optional human-readable label (used in error messages and tests).
     pub label: String,
+    /// Marked by [`LpProblem::add_lazy_constraint`]: the row is expected to
+    /// be slack at the optimum, so the revised engine may leave it out of
+    /// its working set until a solution violates it.
+    #[serde(default)]
+    pub lazy: bool,
 }
 
 /// A linear program over non-negative variables.
@@ -121,10 +133,41 @@ impl LpProblem {
     /// not finite.
     pub fn add_constraint(
         &mut self,
-        mut terms: Vec<(VarId, f64)>,
+        terms: Vec<(VarId, f64)>,
         op: ConstraintOp,
         rhs: f64,
         label: impl Into<String>,
+    ) -> usize {
+        self.push_constraint(terms, op, rhs, label.into(), false)
+    }
+
+    /// Adds a constraint exactly like [`add_constraint`](Self::add_constraint)
+    /// and marks it lazy: the caller expects it to be slack at the optimum.
+    /// The optimum is the same either way; the revised engine uses the mark
+    /// to solve on fewer rows and adds the row only once a solution violates
+    /// it. A lazy row that would need an artificial variable (a `≥` row with
+    /// positive rhs, an `=` row, a `≤` row with negative rhs) is always kept.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`add_constraint`](Self::add_constraint).
+    pub fn add_lazy_constraint(
+        &mut self,
+        terms: Vec<(VarId, f64)>,
+        op: ConstraintOp,
+        rhs: f64,
+        label: impl Into<String>,
+    ) -> usize {
+        self.push_constraint(terms, op, rhs, label.into(), true)
+    }
+
+    fn push_constraint(
+        &mut self,
+        mut terms: Vec<(VarId, f64)>,
+        op: ConstraintOp,
+        rhs: f64,
+        label: String,
+        lazy: bool,
     ) -> usize {
         assert!(rhs.is_finite(), "constraint rhs must be finite");
         for &(v, c) in &terms {
@@ -144,7 +187,8 @@ impl LpProblem {
             terms: compact,
             op,
             rhs,
-            label: label.into(),
+            label,
+            lazy,
         });
         self.constraints.len() - 1
     }
@@ -288,6 +332,41 @@ mod tests {
         lp.set_objective_coefficient(x, 2.0);
         lp.set_objective_coefficient(y, -1.0);
         assert!((lp.objective_value(&[3.0, 4.0]) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn lazy_constraints_are_compacted_and_marked() {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_variable("x");
+        let y = lp.add_variable("y");
+        lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Ge, 1.0, "plain");
+        let row = lp.add_lazy_constraint(
+            vec![(y, 1.0), (x, 1.0), (y, -1.0)],
+            ConstraintOp::Le,
+            2.0,
+            "lazy",
+        );
+        assert_eq!(row, 1);
+        assert!(!lp.constraints()[0].lazy);
+        assert!(lp.constraints()[1].lazy);
+        assert_eq!(lp.constraints()[1].terms, vec![(x, 1.0)]);
+    }
+
+    #[test]
+    fn constraints_without_a_lazy_field_deserialise_unmarked() {
+        use serde::{Deserialize, Serialize, Value};
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_variable("x");
+        lp.add_lazy_constraint(vec![(x, 1.0)], ConstraintOp::Le, 2.0, "c");
+        let Value::Object(fields) = lp.constraints()[0].to_value() else {
+            panic!("constraints serialise as objects");
+        };
+        let round_trip = Constraint::from_value(&Value::Object(fields.clone())).unwrap();
+        assert_eq!(round_trip, lp.constraints()[0]);
+        let legacy: Vec<_> = fields.into_iter().filter(|(k, _)| k != "lazy").collect();
+        let legacy = Constraint::from_value(&Value::Object(legacy)).unwrap();
+        assert!(!legacy.lazy);
+        assert_eq!(legacy.terms, lp.constraints()[0].terms);
     }
 
     #[test]

@@ -43,6 +43,23 @@
 //! turns singular or the solution fails a final feasibility check, the solver
 //! transparently falls back to the dense oracle.
 //!
+//! **Lazy rows.** Rows marked by [`LpProblem::add_lazy_constraint`] are held
+//! back as long as a slack can seat them (an artificial-free row; any other
+//! marked row stays in). The engine solves the remaining rows — its *working
+//! set* — then appends every held-back row the solution violates by more
+//! than [`SimplexOptions::tolerance`], in row order, and re-solves with the
+//! dual simplex from the previous basis plus the new rows' slacks (still
+//! dual-feasible: the slacks cost nothing). It repeats until no held-back row
+//! is violated, and checks the final point against the full model. A
+//! restricted solve that comes out unbounded is redone on the full model; one
+//! that comes out infeasible proves the full model infeasible. `iterations`,
+//! the pivot budget and the deadline span all rounds; `phase1_iterations` is
+//! the first round's. On (LP1), whose `x_ij ≤ d_j` rows are nearly all slack
+//! at the optimum, the pivot count barely moves but each pivot works on a
+//! fraction of the rows. Basis snapshots ([`WarmOutcome::basis`]) stay in
+//! full-model coordinates, so a warm start does not depend on the donor's
+//! working set.
+//!
 //! The pivot loop allocates no per-pivot temporaries: all work vectors
 //! (multipliers, direction, devex reference row, candidate list) and the LU
 //! scratch live in the solver and are reused across pivots. Its only heap
@@ -107,6 +124,10 @@ const PRICE_WINDOW_DIVISOR: usize = 4;
 
 /// Solves a linear program with the revised simplex method.
 ///
+/// Rows marked lazy ([`LpProblem::add_lazy_constraint`]) are held back until
+/// a solution violates them (see the module docs); the answer is the full
+/// model's either way, and `iterations` counts the pivots of every round.
+///
 /// # Errors
 ///
 /// Returns [`LpError::IterationLimit`] if the pivot budget is exhausted — in
@@ -115,8 +136,9 @@ pub fn solve_revised(problem: &LpProblem, options: &SimplexOptions) -> Result<Lp
     if problem.num_variables() == 0 {
         return Ok(crate::engine::solve_empty(problem, options));
     }
-    match try_solve(problem, options) {
-        Ok(solution) => Ok(solution),
+    let layout = Layout::new(problem);
+    match solve_cold(problem, &layout, layout.initial_rows(), options, 0) {
+        Ok((_, solution)) => Ok(solution),
         Err(Trouble::IterationLimit { limit }) => Err(LpError::IterationLimit { limit }),
         // A caller budget running out is a *verdict*, not numerical trouble:
         // falling back to the dense oracle would burn the very work the
@@ -165,10 +187,18 @@ fn oracle_fallback(
 /// on the donor problem at all. [`solve_warm`] validates the basis against
 /// the *new* problem (length, no artificials, no duplicates, nonsingular) and
 /// falls back to a cold two-phase solve when it does not fit.
+///
+/// The basis is in **full-model coordinates** whether or not the donor held
+/// lazy rows back: one entry per model row, and a held-back row carries its
+/// own (basic) slack. The factors, by contrast, are those of the donor's
+/// working set, so their [`LuFactors::dim`] may be smaller than the row
+/// count; they are adopted only when the warm solve's working set (the
+/// unmarked rows plus the lazy rows whose slack is nonbasic in `basis`) is
+/// the donor's and the residual check passes.
 #[derive(Debug, Default)]
 pub struct WarmStart {
     /// Standard-form basis column indices (structural `0..n`, then slacks),
-    /// one per constraint row.
+    /// one per constraint row of the full model.
     pub basis: Vec<usize>,
     /// The donor solve's LU factors. Adopted only after a residual check
     /// proves they still invert the new problem's basis matrix (true for
@@ -183,11 +213,14 @@ pub struct WarmStart {
 pub struct WarmOutcome {
     /// The solution, exactly as [`solve_revised`] would report it.
     pub solution: LpSolution,
-    /// Final basis snapshot for warm-starting a later solve; empty when the
-    /// solve did not end at an optimal artificial-free basis (non-optimal
-    /// status, or the dense-oracle fallback ran).
+    /// Final basis snapshot for warm-starting a later solve, in full-model
+    /// coordinates (one entry per model row; rows the solve held back carry
+    /// their slacks, see [`WarmStart`]); empty when the solve did not end at
+    /// an optimal artificial-free basis (non-optimal status, or the
+    /// dense-oracle fallback ran).
     pub basis: Vec<usize>,
-    /// LU factors of that final basis, when available.
+    /// LU factors of that final basis restricted to the solve's working set
+    /// (dimension = working rows), when available.
     pub factors: Option<LuFactors>,
     /// `true` when the supplied warm basis was actually used (the warm primal
     /// or dual path produced the solution); `false` on every cold path.
@@ -227,7 +260,10 @@ pub fn solve_revised_with_basis(
             warm: false,
         });
     }
-    finish_outcome(try_solve_capture(problem, options), problem, options)
+    let layout = Layout::new(problem);
+    let result = solve_cold(problem, &layout, layout.initial_rows(), options, 0)
+        .map(|(solver, solution)| capture_outcome(solver, &layout, solution));
+    finish_outcome(result, problem, options)
 }
 
 /// Solves a linear program starting from a warm basis.
@@ -242,6 +278,9 @@ pub fn solve_revised_with_basis(
 ///   still dual-feasible);
 /// * **neither** — cold two-phase solve from the crash basis, exactly as
 ///   [`solve_revised`] would run it.
+///
+/// Lazy rows whose slack is basic in the warm basis are held back, and added
+/// back by the same dual-simplex rounds as a cold solve's once violated.
 ///
 /// Every path runs under the same pivot/deadline budgets and keeps the
 /// pivots-as-clock determinism contract: the same problem plus the same warm
@@ -303,29 +342,187 @@ enum Trouble {
     },
 }
 
-fn try_solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, Trouble> {
-    let mut solver = Revised::build(problem, options);
-    solver.refactorize()?;
-    run_two_phase(&mut solver, problem, options)
+/// Standard-form column numbering of the *full* model, plus which rows may
+/// be held back. Basis snapshots use these coordinates whatever the working
+/// set was, so a snapshot fits any later solve of the same model shape.
+struct Layout {
+    /// Full-model slack column of each row (`usize::MAX` for `=` rows).
+    slack: Vec<usize>,
+    /// Full-model artificial column of each row (`usize::MAX` when none).
+    artificial: Vec<usize>,
+    /// Row whose slack is full-model column `n + k`, indexed by `k`.
+    slack_row: Vec<usize>,
+    /// Rows that may sit outside the working set: marked lazy and
+    /// artificial-free, so a slack can always seat them in a basis.
+    deferrable: Vec<bool>,
+    /// Structural plus slack columns of the full model.
+    num_real: usize,
+    /// All standard-form columns of the full model, artificials included.
+    ncols: usize,
 }
 
-/// Cold solve that also snapshots the final basis for warm-start reuse.
-/// Pivot-for-pivot identical to [`try_solve`]; only the packaging differs.
-fn try_solve_capture(
+impl Layout {
+    fn new(problem: &LpProblem) -> Self {
+        let n = problem.num_variables();
+        let m = problem.num_constraints();
+        let mut slack = vec![usize::MAX; m];
+        let mut artificial = vec![usize::MAX; m];
+        let mut slack_row = Vec::with_capacity(m);
+        let mut deferrable = vec![false; m];
+        let mut num_artificials = 0usize;
+        for (r, c) in problem.constraints().iter().enumerate() {
+            let (has_slack, needs_artificial) = crate::engine::row_extra_columns(c);
+            if has_slack {
+                slack[r] = n + slack_row.len();
+                slack_row.push(r);
+            }
+            if needs_artificial {
+                artificial[r] = num_artificials;
+                num_artificials += 1;
+            }
+            deferrable[r] = c.lazy && !needs_artificial;
+        }
+        let num_real = n + slack_row.len();
+        for a in artificial.iter_mut().filter(|a| **a != usize::MAX) {
+            *a += num_real;
+        }
+        Self {
+            slack,
+            artificial,
+            slack_row,
+            deferrable,
+            num_real,
+            ncols: num_real + num_artificials,
+        }
+    }
+
+    /// The pivot safety net: the caller's, or one sized on the full model
+    /// whatever the working set.
+    fn limit(&self, options: &SimplexOptions) -> usize {
+        options
+            .max_iterations
+            .unwrap_or(200 * (self.deferrable.len() + self.ncols) + 10_000)
+    }
+
+    /// The cold working set: every row that may not be held back.
+    fn initial_rows(&self) -> Vec<usize> {
+        (0..self.deferrable.len())
+            .filter(|&r| !self.deferrable[r])
+            .collect()
+    }
+
+    /// Splits a full-coordinate warm basis into the warm solve's working set
+    /// (every row except the deferrable ones whose slack is basic) and the
+    /// basis columns left once those slacks are dropped, in snapshot order.
+    /// `None` when the basis cannot belong to this model (wrong length,
+    /// out-of-range or artificial columns).
+    fn split_warm(&self, basis: &[usize]) -> Option<(Vec<usize>, Vec<usize>)> {
+        if basis.len() != self.deferrable.len() || basis.iter().any(|&c| c >= self.num_real) {
+            return None;
+        }
+        let n = self.num_real - self.slack_row.len();
+        let mut held = vec![false; self.deferrable.len()];
+        for &c in basis {
+            if c >= n && self.deferrable[self.slack_row[c - n]] {
+                held[self.slack_row[c - n]] = true;
+            }
+        }
+        let rows = (0..held.len()).filter(|&r| !held[r]).collect();
+        let kept = basis
+            .iter()
+            .copied()
+            .filter(|&c| c < n || !held[self.slack_row[c - n]])
+            .collect();
+        Some((rows, kept))
+    }
+}
+
+/// Cold solve from the triangular crash basis of the working set `rows`,
+/// grown by [`finish_rounds`] until no held-back row is violated. `spent`
+/// pivots of an abandoned attempt count towards `iterations` and the
+/// budgets.
+fn solve_cold(
     problem: &LpProblem,
+    layout: &Layout,
+    rows: Vec<usize>,
     options: &SimplexOptions,
-) -> Result<WarmOutcome, Trouble> {
-    let mut solver = Revised::build(problem, options);
+    spent: usize,
+) -> Result<(Revised, LpSolution), Trouble> {
+    let mut solver = Revised::build(problem, layout, rows, options);
+    solver.crash(problem.num_variables());
+    solver.iterations = spent;
     solver.refactorize()?;
-    let solution = run_two_phase(&mut solver, problem, options)?;
-    Ok(capture_outcome(solver, solution, false))
+    let (end, phase1) = run_two_phase(&mut solver, problem, options, layout.limit(options))?;
+    finish_rounds(solver, problem, layout, options, end, phase1)
 }
 
-/// Packages a finished solve, snapshotting the basis (and moving the LU
-/// factors out of the solver) when — and only when — it ended at an optimal,
-/// artificial-free vertex. Any other terminal state has nothing worth
-/// inheriting.
-fn capture_outcome(mut solver: Revised, solution: LpSolution, warm: bool) -> WarmOutcome {
+/// Drives a solve whose first round ended in `end` to the full model's
+/// verdict. While the working set's optimum violates held-back rows, those
+/// rows are appended (in row order) and the round re-solved by the dual
+/// simplex from the previous basis plus their slacks — still dual-feasible,
+/// since the new slacks cost nothing. A working set that comes out
+/// infeasible proves the full model infeasible; one that comes out unbounded
+/// while rows are still held back is re-solved on the full model. The final
+/// point is checked against every row.
+fn finish_rounds(
+    mut solver: Revised,
+    problem: &LpProblem,
+    layout: &Layout,
+    options: &SimplexOptions,
+    mut end: PhaseStatus,
+    phase1_iterations: usize,
+) -> Result<(Revised, LpSolution), Trouble> {
+    let n = problem.num_variables();
+    let limit = layout.limit(options);
+    while end == PhaseStatus::Optimal {
+        let values = solver.extract_solution(n);
+        let violated = solver.violated_rows(problem, layout, &values, options.tolerance);
+        if violated.is_empty() {
+            // Cheap safety net: a vertex that violates the original
+            // constraints means the factorisation drifted; let the caller
+            // fall back to dense.
+            if !problem.is_feasible(&values, 1e-6) {
+                return Err(Trouble::Numerical {
+                    spent: solver.iterations,
+                });
+            }
+            let solution = LpSolution {
+                status: LpStatus::Optimal,
+                objective: problem.objective_value(&values),
+                values,
+                iterations: solver.iterations,
+                phase1_iterations,
+            };
+            return Ok((solver, solution));
+        }
+        solver = solver.extend(problem, layout, &violated, options)?;
+        end = solver.resume(options, limit)?;
+    }
+    let (status, objective) = match (end, problem.sense()) {
+        (PhaseStatus::Unbounded, _) if solver.nrows < problem.num_constraints() => {
+            let all = (0..problem.num_constraints()).collect();
+            return solve_cold(problem, layout, all, options, solver.iterations);
+        }
+        (PhaseStatus::Unbounded, Sense::Minimize) => (LpStatus::Unbounded, f64::NEG_INFINITY),
+        (PhaseStatus::Unbounded, Sense::Maximize) => (LpStatus::Unbounded, f64::INFINITY),
+        _ => (LpStatus::Infeasible, 0.0),
+    };
+    let solution = LpSolution {
+        status,
+        objective,
+        values: vec![0.0; n],
+        iterations: solver.iterations,
+        phase1_iterations,
+    };
+    Ok((solver, solution))
+}
+
+/// Packages a finished solve, snapshotting the basis in full-model
+/// coordinates (and moving the LU factors out of the solver) when — and only
+/// when — it ended at an optimal, artificial-free vertex. Any other terminal
+/// state has nothing worth inheriting.
+fn capture_outcome(mut solver: Revised, layout: &Layout, solution: LpSolution) -> WarmOutcome {
+    let warm = solver.warm;
     let reusable =
         solution.status == LpStatus::Optimal && solver.basis.iter().all(|&c| c < solver.num_real);
     if !reusable {
@@ -336,7 +533,7 @@ fn capture_outcome(mut solver: Revised, solution: LpSolution, warm: bool) -> War
             warm,
         };
     }
-    let basis = solver.basis.clone();
+    let basis = solver.full_basis(layout);
     let factors = std::mem::replace(&mut solver.factors, LuFactors::new(0));
     WarmOutcome {
         solution,
@@ -346,23 +543,34 @@ fn capture_outcome(mut solver: Revised, solution: LpSolution, warm: bool) -> War
     }
 }
 
-/// Warm-started solve: install the donor basis, then dispatch on what it
-/// still is for the mutated problem — primal feasible (straight to phase 2),
-/// dual feasible (dual simplex, then primal cleanup), or neither (cold
-/// two-phase, exactly as [`try_solve_capture`]).
+/// Warm-started solve: install the donor basis on the working set it
+/// implies, then dispatch on what it still is for the mutated problem —
+/// primal feasible (straight to phase 2), dual feasible (dual simplex, then
+/// primal cleanup), or neither (cold two-phase, exactly as
+/// [`solve_revised_with_basis`]) — and finish with the usual lazy-row rounds.
 fn try_solve_warm(
     problem: &LpProblem,
     warm: WarmStart,
     options: &SimplexOptions,
 ) -> Result<WarmOutcome, Trouble> {
-    let n = problem.num_variables();
-    let mut solver = Revised::build(problem, options);
-    if !solver.try_install_warm(warm) {
-        return try_solve_capture(problem, options);
+    let layout = Layout::new(problem);
+    let cold = || {
+        solve_cold(problem, &layout, layout.initial_rows(), options, 0)
+            .map(|(solver, solution)| capture_outcome(solver, &layout, solution))
+    };
+    let Some((rows, basis)) = layout.split_warm(&warm.basis) else {
+        return cold();
+    };
+    let mut solver = Revised::build(problem, &layout, rows, options);
+    let local = solver.local_columns(&layout);
+    let basis = basis.into_iter().map(|c| local[c]).collect();
+    if !solver.try_install_warm(WarmStart {
+        basis,
+        factors: warm.factors,
+    }) {
+        return cold();
     }
-    let limit = options
-        .max_iterations
-        .unwrap_or_else(|| 200 * (solver.nrows + solver.ncols) + 10_000);
+    let limit = layout.limit(options);
     let tol = options.tolerance;
 
     // The warm basis is artificial-free by construction, so phase 1 never
@@ -376,81 +584,30 @@ fn try_solve_warm(
         if !dual_feasible {
             // The donor vertex is neither primal- nor dual-feasible here:
             // nothing to inherit, run the cold two-phase from the crash basis.
-            return try_solve_capture(problem, options);
-        }
-        match solver.dual_optimize(options, limit)? {
-            DualOutcome::PrimalFeasible => {}
-            DualOutcome::Infeasible => {
-                return Ok(WarmOutcome {
-                    solution: LpSolution {
-                        status: LpStatus::Infeasible,
-                        objective: 0.0,
-                        values: vec![0.0; n],
-                        iterations: solver.iterations,
-                        phase1_iterations: 0,
-                    },
-                    basis: Vec::new(),
-                    factors: None,
-                    warm: true,
-                });
-            }
+            return cold();
         }
     }
-
-    let status = solver.optimize(options, limit)?;
-    if status == PhaseStatus::Unbounded {
-        return Ok(WarmOutcome {
-            solution: LpSolution {
-                status: LpStatus::Unbounded,
-                objective: match problem.sense() {
-                    Sense::Minimize => f64::NEG_INFINITY,
-                    Sense::Maximize => f64::INFINITY,
-                },
-                values: vec![0.0; n],
-                iterations: solver.iterations,
-                phase1_iterations: 0,
-            },
-            basis: Vec::new(),
-            factors: None,
-            warm: true,
-        });
-    }
-    let values = solver.extract_solution(n);
-    // Same safety net as the cold path: a vertex violating the original
-    // constraints means the factorisation drifted; fall back to dense.
-    if !problem.is_feasible(&values, 1e-6) {
-        return Err(Trouble::Numerical {
-            spent: solver.iterations,
-        });
-    }
-    let objective = problem.objective_value(&values);
-    let iterations = solver.iterations;
-    let solution = LpSolution {
-        status: LpStatus::Optimal,
-        objective,
-        values,
-        iterations,
-        phase1_iterations: 0,
-    };
-    Ok(capture_outcome(solver, solution, true))
+    solver.warm = true;
+    let end = solver.resume(options, limit)?;
+    let (solver, solution) = finish_rounds(solver, problem, &layout, options, end, 0)?;
+    Ok(capture_outcome(solver, &layout, solution))
 }
 
+/// Runs phase 1 (when artificials are basic) and phase 2 on a freshly built
+/// and factorised solver; returns how the round ended and its phase-1
+/// pivots.
 fn run_two_phase(
     solver: &mut Revised,
     problem: &LpProblem,
     options: &SimplexOptions,
-) -> Result<LpSolution, Trouble> {
-    let n = problem.num_variables();
-    let limit = options
-        .max_iterations
-        .unwrap_or_else(|| 200 * (solver.nrows + solver.ncols) + 10_000);
-
+    limit: usize,
+) -> Result<(PhaseStatus, usize), Trouble> {
+    let start = solver.iterations;
     // Phase 1: minimise the sum of artificial variables. The triangular
-    // crash in `build` replaces artificials with structural columns wherever
-    // it can do so feasibly, so phase 1 runs only for the rows it missed —
-    // and an entirely crashed basis skips phase 1 outright (the crash basis
-    // being feasible *is* the feasibility certificate phase 1 exists to
-    // produce).
+    // crash replaces artificials with structural columns wherever it can do
+    // so feasibly, so phase 1 runs only for the rows it missed — and an
+    // entirely crashed basis skips phase 1 outright (the crash basis being
+    // feasible *is* the feasibility certificate phase 1 exists to produce).
     if solver.has_basic_artificials() {
         solver.install_phase1_costs();
         let status = solver.optimize(options, limit)?;
@@ -459,55 +616,23 @@ fn run_two_phase(
             "phase-1 objective is bounded below by zero"
         );
         if solver.objective_value() > 1e-7 {
-            return Ok(LpSolution {
-                status: LpStatus::Infeasible,
-                objective: 0.0,
-                values: vec![0.0; n],
-                iterations: solver.iterations,
-                phase1_iterations: solver.iterations,
-            });
+            return Ok((PhaseStatus::Infeasible, solver.iterations - start));
         }
     }
-    let phase1_iterations = solver.iterations;
+    let phase1 = solver.iterations - start;
 
     // Phase 2: optimise the real objective; artificials may never re-enter
     // and any still basic are held at zero by the guarded ratio test.
     solver.install_phase2_costs(problem);
-    let status = solver.optimize(options, limit)?;
-    if status == PhaseStatus::Unbounded {
-        return Ok(LpSolution {
-            status: LpStatus::Unbounded,
-            objective: match problem.sense() {
-                Sense::Minimize => f64::NEG_INFINITY,
-                Sense::Maximize => f64::INFINITY,
-            },
-            values: vec![0.0; n],
-            iterations: solver.iterations,
-            phase1_iterations,
-        });
-    }
-
-    let values = solver.extract_solution(n);
-    // Cheap safety net: a vertex that violates the original constraints means
-    // the factorisation drifted; let the caller fall back to dense.
-    if !problem.is_feasible(&values, 1e-6) {
-        return Err(Trouble::Numerical {
-            spent: solver.iterations,
-        });
-    }
-    let objective = problem.objective_value(&values);
-    Ok(LpSolution {
-        status: LpStatus::Optimal,
-        objective,
-        values,
-        iterations: solver.iterations,
-        phase1_iterations,
-    })
+    Ok((solver.optimize(options, limit)?, phase1))
 }
 
+/// How a simplex phase, or a round of them on the working set, ended. The
+/// primal loop itself ends only `Optimal` or `Unbounded`.
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
 enum PhaseStatus {
     Optimal,
+    Infeasible,
     Unbounded,
 }
 
@@ -521,15 +646,27 @@ enum DualOutcome {
     Infeasible,
 }
 
-/// Revised-simplex state over the standard-form problem.
+/// Revised-simplex state over the standard form of a working set of the
+/// model's rows.
 ///
 /// Vectors over the basis are indexed by *basis position* `t ∈ 0..nrows`:
 /// `basis[t]` is the column occupying position `t`, `xb[t]` its value, and
 /// [`LuFactors::ftran`] maps original-row space into position space (its
 /// BTRAN maps back). A pivot replaces the column at one position; positions
 /// never migrate, so the basis books survive refactorisation untouched.
+///
+/// Columns are numbered locally (structural `0..n`, then the working rows'
+/// slacks, then their artificials); `full_col` translates them to the full
+/// model's [`Layout`]. With every row in the working set the two numberings
+/// coincide.
 struct Revised {
     nrows: usize,
+    /// Model row of each working row, increasing.
+    rows: Vec<usize>,
+    /// Full-model column of each local column.
+    full_col: Vec<usize>,
+    /// The basis descends from a donor warm start.
+    warm: bool,
     /// Total columns including artificials.
     ncols: usize,
     /// Columns below this index are structural or slack; columns at or above
@@ -603,38 +740,48 @@ struct Revised {
 }
 
 impl Revised {
-    fn build(problem: &LpProblem, options: &SimplexOptions) -> Self {
+    /// Builds the standard form of the working set `rows` (increasing model
+    /// row indices) with its slack/artificial starting basis. Cold solves
+    /// then [`crash`](Self::crash) it; warm and continued solves install a
+    /// basis of their own.
+    fn build(
+        problem: &LpProblem,
+        layout: &Layout,
+        rows: Vec<usize>,
+        options: &SimplexOptions,
+    ) -> Self {
         let n = problem.num_variables();
-        let m = problem.num_constraints();
+        let m = rows.len();
+        let constraints = problem.constraints();
 
-        // Shared classification (see `engine::row_extra_columns`): an
-        // effective `≤` row (after normalising rhs ≥ 0) starts with its slack
-        // basic, everything else gets an artificial.
-        let mut num_slack = 0usize;
-        let mut needs_artificial = vec![false; m];
-        for (i, c) in problem.constraints().iter().enumerate() {
-            let (slack, artificial) = crate::engine::row_extra_columns(c);
-            if slack {
-                num_slack += 1;
-            }
-            needs_artificial[i] = artificial;
-        }
-        let num_artificials = needs_artificial.iter().filter(|&&x| x).count();
+        // Shared classification (see `engine::row_extra_columns`, mirrored
+        // by the layout): an effective `≤` row (after normalising rhs ≥ 0)
+        // starts with its slack basic, everything else gets an artificial.
+        let num_slack = rows
+            .iter()
+            .filter(|&&r| layout.slack[r] != usize::MAX)
+            .count();
+        let num_artificials = rows
+            .iter()
+            .filter(|&&r| layout.artificial[r] != usize::MAX)
+            .count();
         let num_real = n + num_slack;
         let ncols = num_real + num_artificials;
 
         let mut b = Vec::with_capacity(m);
         let mut basis = vec![usize::MAX; m];
         let mut is_artificial = vec![false; ncols];
+        let mut full_col: Vec<usize> = (0..ncols).collect();
         let mut slack_cursor = n;
         let mut artificial_cursor = num_real;
 
         // Rows stream straight into the CSR arrays — no intermediate per-row
         // `Vec`s (their allocations were a measurable share of small-solve
         // setup time).
-        let term_nnz: usize = problem.constraints().iter().map(|c| c.terms.len()).sum();
+        let term_nnz: usize = rows.iter().map(|&r| constraints[r].terms.len()).sum();
         let mut rows_builder = CsrMatrix::builder(ncols, m, term_nnz + num_slack + num_artificials);
-        for (i, c) in problem.constraints().iter().enumerate() {
+        for (i, &r) in rows.iter().enumerate() {
+            let c = &constraints[r];
             let slack_sign = match c.op {
                 ConstraintOp::Le => 1.0,
                 ConstraintOp::Ge => -1.0,
@@ -654,12 +801,14 @@ impl Revised {
                 if sign * slack_sign > 0.0 {
                     basis[i] = slack_cursor;
                 }
+                full_col[slack_cursor] = layout.slack[r];
                 slack_cursor += 1;
             }
-            if needs_artificial[i] {
+            if layout.artificial[r] != usize::MAX {
                 rows_builder.push(artificial_cursor, 1.0);
                 is_artificial[artificial_cursor] = true;
                 basis[i] = artificial_cursor;
+                full_col[artificial_cursor] = layout.artificial[r];
                 artificial_cursor += 1;
             }
             rows_builder.finish_row();
@@ -668,69 +817,15 @@ impl Revised {
 
         let rows_csr = rows_builder.build();
         let cols = rows_csr.transpose();
-
-        // Triangular crash: before settling for an all-artificial phase-1
-        // start, try to seat a structural column in each artificial row. A
-        // candidate must pivot positively in its row (so its basic value
-        // `rhs/a` is nonnegative), be acceptably large against its column
-        // (stability), and have every *other* supported row still slack-basic
-        // with enough remaining slack to absorb the induced load. Rows are
-        // processed in index order and the largest acceptable pivot wins, so
-        // the crash is deterministic; the resulting basis is lower triangular
-        // (crashed rows first, slack rows after) and feasible by
-        // construction — phase 1 then only has to drive out the artificials
-        // the greedy could not replace, often none at all.
-        let mut remaining = b.clone();
-        let mut col_used = vec![false; ncols];
-        for i in 0..m {
-            if !needs_artificial[i] {
-                continue;
-            }
-            let mut best: Option<(usize, f64)> = None;
-            'cand: for (c, a) in rows_csr.row(i) {
-                if c >= n || col_used[c] || a <= CRASH_PIVOT_TOL {
-                    continue;
-                }
-                if best.is_some_and(|(_, ba)| a <= ba) {
-                    continue;
-                }
-                let x = b[i] / a;
-                let mut col_max = a;
-                for (r, ar) in cols.row(c) {
-                    col_max = col_max.max(ar.abs());
-                    if r == i {
-                        continue;
-                    }
-                    let slack_basic = basis[r] != usize::MAX && basis[r] >= n;
-                    if !slack_basic || remaining[r] - ar * x < 0.0 {
-                        continue 'cand;
-                    }
-                }
-                if a < CRASH_STABILITY_RATIO * col_max {
-                    continue;
-                }
-                best = Some((c, a));
-            }
-            if let Some((c, a)) = best {
-                let x = b[i] / a;
-                for (r, ar) in cols.row(c) {
-                    if r != i {
-                        remaining[r] -= ar * x;
-                    }
-                }
-                basis[i] = c;
-                col_used[c] = true;
-            }
-        }
-
         let mut in_basis = vec![false; ncols];
         for &v in &basis {
             in_basis[v] = true;
         }
-        // The initial basis is near triangular (crash columns plus unit
-        // slack/artificial columns), so the first factorisation is cheap.
         Self {
             nrows: m,
+            rows,
+            full_col,
+            warm: false,
             ncols,
             num_real,
             cols,
@@ -759,6 +854,67 @@ impl Revised {
             cursor: 0,
             refactor_interval: options.refactor_interval.max(m),
             costs_installed: false,
+        }
+    }
+
+    /// Triangular crash: before settling for an all-artificial phase-1
+    /// start, try to seat a structural column in each artificial row. A
+    /// candidate must pivot positively in its row (so its basic value
+    /// `rhs/a` is nonnegative), be acceptably large against its column
+    /// (stability), and have every *other* supported row still slack-basic
+    /// with enough remaining slack to absorb the induced load. Rows are
+    /// processed in index order and the largest acceptable pivot wins, so
+    /// the crash is deterministic; the resulting basis is lower triangular
+    /// (crashed rows first, slack rows after) and feasible by construction —
+    /// phase 1 then only has to drive out the artificials the greedy could
+    /// not replace, often none at all. `n` is the structural column count.
+    /// The basis stays near triangular
+    /// (crash columns plus unit slack/artificial columns), so the first
+    /// factorisation is cheap.
+    fn crash(&mut self, n: usize) {
+        let mut remaining = self.b.clone();
+        let mut col_used = vec![false; self.ncols];
+        for i in 0..self.nrows {
+            if !self.is_artificial[self.basis[i]] {
+                continue;
+            }
+            let mut best: Option<(usize, f64)> = None;
+            'cand: for (c, a) in self.rows_csr.row(i) {
+                if c >= n || col_used[c] || a <= CRASH_PIVOT_TOL {
+                    continue;
+                }
+                if best.is_some_and(|(_, ba)| a <= ba) {
+                    continue;
+                }
+                let x = self.b[i] / a;
+                let mut col_max = a;
+                for (r, ar) in self.cols.row(c) {
+                    col_max = col_max.max(ar.abs());
+                    if r == i {
+                        continue;
+                    }
+                    let slack_basic = self.basis[r] != usize::MAX && self.basis[r] >= n;
+                    if !slack_basic || remaining[r] - ar * x < 0.0 {
+                        continue 'cand;
+                    }
+                }
+                if a < CRASH_STABILITY_RATIO * col_max {
+                    continue;
+                }
+                best = Some((c, a));
+            }
+            if let Some((c, a)) = best {
+                let x = self.b[i] / a;
+                for (r, ar) in self.cols.row(c) {
+                    if r != i {
+                        remaining[r] -= ar * x;
+                    }
+                }
+                self.in_basis[self.basis[i]] = false;
+                self.in_basis[c] = true;
+                self.basis[i] = c;
+                col_used[c] = true;
+            }
         }
     }
 
@@ -1277,9 +1433,101 @@ impl Revised {
         }
     }
 
-    /// Rebuilds the LU factors from scratch for the current basis books and
-    /// recomputes `x_B = B⁻¹ b`. Positions keep their variables — only the
-    /// internal elimination ordering changes.
+    /// The basis in full-model coordinates, one column per model row: a
+    /// working row holds whatever column sits at its basis position, a
+    /// held-back row its own slack.
+    fn full_basis(&self, layout: &Layout) -> Vec<usize> {
+        let mut basis = layout.slack.clone();
+        for (&r, &c) in self.rows.iter().zip(&self.basis) {
+            basis[r] = self.full_col[c];
+        }
+        basis
+    }
+
+    /// Inverse of `full_col`: the local column of each full-model column
+    /// (`usize::MAX` for columns of rows outside the working set).
+    fn local_columns(&self, layout: &Layout) -> Vec<usize> {
+        let mut local = vec![usize::MAX; layout.ncols];
+        for (c, &full) in self.full_col.iter().enumerate() {
+            local[full] = c;
+        }
+        local
+    }
+
+    /// Held-back deferrable rows that `values` violates by more than `tol`,
+    /// in row order.
+    fn violated_rows(
+        &self,
+        problem: &LpProblem,
+        layout: &Layout,
+        values: &[f64],
+        tol: f64,
+    ) -> Vec<usize> {
+        let mut violated = Vec::new();
+        if self.nrows == problem.num_constraints() {
+            return violated;
+        }
+        let mut working = self.rows.iter().copied().peekable();
+        for (r, c) in problem.constraints().iter().enumerate() {
+            if working.next_if_eq(&r).is_some() || !layout.deferrable[r] {
+                continue;
+            }
+            let lhs: f64 = c.terms.iter().map(|(v, a)| a * values[v.0]).sum();
+            let excess = match c.op {
+                ConstraintOp::Le => lhs - c.rhs,
+                ConstraintOp::Ge => c.rhs - lhs,
+                ConstraintOp::Eq => (lhs - c.rhs).abs(),
+            };
+            if excess > tol {
+                violated.push(r);
+            }
+        }
+        violated
+    }
+
+    /// Adds the held-back rows `added` to the working set: a fresh standard
+    /// form over the merged rows, seated with the current basis (every
+    /// column keeps its row's position) plus the new rows' slacks,
+    /// refactorised, with the phase-2 costs installed. The slacks
+    /// cost nothing, so the reduced costs — and dual feasibility — carry
+    /// over; only the new rows' negative slack values are left for the dual
+    /// simplex. The pivot count carries over too, so budgets span rounds.
+    fn extend(
+        self,
+        problem: &LpProblem,
+        layout: &Layout,
+        added: &[usize],
+        options: &SimplexOptions,
+    ) -> Result<Self, Trouble> {
+        let seats = self.full_basis(layout);
+        let mut rows = [self.rows.as_slice(), added].concat();
+        rows.sort_unstable();
+        let mut next = Self::build(problem, layout, rows, options);
+        let local = next.local_columns(layout);
+        for t in 0..next.nrows {
+            next.basis[t] = local[seats[next.rows[t]]];
+        }
+        next.in_basis.iter_mut().for_each(|x| *x = false);
+        for &c in &next.basis {
+            next.in_basis[c] = true;
+        }
+        next.iterations = self.iterations;
+        next.warm = self.warm;
+        next.refactorize()?;
+        next.install_phase2_costs(problem);
+        Ok(next)
+    }
+
+    /// Continues from a basis whose reduced costs are (near) nonnegative — a
+    /// warm start, or the previous round's optimum plus new rows: dual
+    /// simplex to primal feasibility, then primal cleanup.
+    fn resume(&mut self, options: &SimplexOptions, limit: usize) -> Result<PhaseStatus, Trouble> {
+        if self.dual_optimize(options, limit)? == DualOutcome::Infeasible {
+            return Ok(PhaseStatus::Infeasible);
+        }
+        self.optimize(options, limit)
+    }
+
     /// Installs a warm basis, returning `false` when it cannot seed this
     /// problem (wrong row count, artificial or duplicate columns, or a
     /// singular basis matrix).
@@ -1527,6 +1775,9 @@ impl Revised {
         }
     }
 
+    /// Rebuilds the LU factors from scratch for the current basis books and
+    /// recomputes `x_B = B⁻¹ b`. Positions keep their variables — only the
+    /// internal elimination ordering changes.
     fn refactorize(&mut self) -> Result<(), Trouble> {
         if self.factors.factorize(&self.cols, &self.basis).is_err() {
             return Err(Trouble::Numerical {

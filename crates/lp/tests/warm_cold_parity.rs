@@ -19,14 +19,16 @@ use suu_lp::{
     SimplexOptions, WarmStart,
 };
 
+/// One row of a [`Spec`]: `(terms, op, rhs, lazy)`.
+type Row = (Vec<(usize, f64)>, ConstraintOp, f64, bool);
+
 /// A rebuildable LP description: mutations edit the spec and rebuild, since
 /// [`LpProblem`] itself is append-only by design.
 #[derive(Clone)]
 struct Spec {
     sense: Sense,
     obj: Vec<f64>,
-    #[allow(clippy::type_complexity)]
-    rows: Vec<(Vec<(usize, f64)>, ConstraintOp, f64)>,
+    rows: Vec<Row>,
 }
 
 impl Spec {
@@ -38,9 +40,13 @@ impl Spec {
         for (&v, &c) in vars.iter().zip(self.obj.iter()) {
             lp.set_objective_coefficient(v, c);
         }
-        for (i, (terms, op, rhs)) in self.rows.iter().enumerate() {
+        for (i, (terms, op, rhs, lazy)) in self.rows.iter().enumerate() {
             let terms: Vec<_> = terms.iter().map(|&(j, a)| (vars[j], a)).collect();
-            lp.add_constraint(terms, *op, *rhs, format!("c{i}"));
+            if *lazy {
+                lp.add_lazy_constraint(terms, *op, *rhs, format!("c{i}"));
+            } else {
+                lp.add_constraint(terms, *op, *rhs, format!("c{i}"));
+            }
         }
         lp
     }
@@ -76,7 +82,7 @@ fn random_spec(rng: &mut ChaCha8Rng) -> Spec {
         } else {
             (ConstraintOp::Le, rng.gen_range(15.0..40.0))
         };
-        rows.push((terms, op, rhs));
+        rows.push((terms, op, rhs, false));
     }
     Spec {
         sense: Sense::Minimize,
@@ -108,7 +114,7 @@ fn wild_spec(rng: &mut ChaCha8Rng, nv: usize, nc: usize) -> Spec {
             5..=8 => ConstraintOp::Le,
             _ => ConstraintOp::Eq,
         };
-        rows.push((terms, op, rng.gen_range(0.5..8.0)));
+        rows.push((terms, op, rng.gen_range(0.5..8.0), false));
     }
     Spec { sense, obj, rows }
 }
@@ -145,12 +151,16 @@ fn mutate(spec: &Spec, kind: Mutation, rng: &mut ChaCha8Rng) -> Spec {
             out.obj[j] += rng.gen_range(-2.0..2.0);
         }
         Mutation::Bound => {
-            if let Some(i) = out.rows.iter().position(|(terms, _, _)| terms.len() == 1) {
+            if let Some(i) = out.rows.iter().position(|(terms, ..)| terms.len() == 1) {
                 out.rows[i].2 = (out.rows[i].2 + rng.gen_range(-1.0..1.0)).max(0.1);
             } else {
                 let j = rng.gen_range(0..out.obj.len());
-                out.rows
-                    .push((vec![(j, 1.0)], ConstraintOp::Le, rng.gen_range(2.0..10.0)));
+                out.rows.push((
+                    vec![(j, 1.0)],
+                    ConstraintOp::Le,
+                    rng.gen_range(2.0..10.0),
+                    false,
+                ));
             }
         }
         Mutation::DropRow => {
@@ -169,126 +179,148 @@ fn opts() -> SimplexOptions {
     SimplexOptions::default()
 }
 
+/// How one warm-vs-cold case went.
+struct CaseReport {
+    /// The basis-only warm start drove the solve.
+    warm: bool,
+    /// ... and needed at least one pivot.
+    pivoted: bool,
+}
+
+/// Mutates an optimal parent by `kind` and checks the child's warm solves
+/// against a cold one: same status, objective within 1e-12 (relative),
+/// feasible warm vertex, bit-identical replay of the basis-only warm start,
+/// and the donor-factors warm start within the same tolerance. `None` when
+/// the parent has no reusable basis.
+fn check_case(
+    case: usize,
+    kind: Mutation,
+    spec: &Spec,
+    rng: &mut ChaCha8Rng,
+) -> Option<CaseReport> {
+    let parent = spec.build();
+    let donor = solve_revised_with_basis(&parent, &opts()).ok()?;
+    if donor.solution.status != LpStatus::Optimal || donor.basis.is_empty() {
+        return None;
+    }
+    // Snapshots are in full-model coordinates whatever the working set.
+    assert_eq!(donor.basis.len(), parent.num_constraints(), "case {case}");
+    let basis = donor.basis.clone();
+    let factors = donor.factors;
+
+    let child_spec = mutate(spec, kind, rng);
+    let child = child_spec.build();
+    let cold = solve_revised(&child, &opts()).expect("cold child solve");
+
+    // Basis-only warm start, twice: parity against cold plus the
+    // bit-identical replay check.
+    let warm_a = solve_warm(
+        &child,
+        WarmStart {
+            basis: basis.clone(),
+            factors: None,
+        },
+        &opts(),
+    )
+    .expect("warm child solve");
+    let warm_b = solve_warm(
+        &child,
+        WarmStart {
+            basis: basis.clone(),
+            factors: None,
+        },
+        &opts(),
+    )
+    .expect("warm child re-solve");
+
+    assert_eq!(
+        warm_a.solution.status, cold.status,
+        "case {case} ({kind:?}): warm status {:?} vs cold {:?}",
+        warm_a.solution.status, cold.status
+    );
+    if cold.status == LpStatus::Optimal {
+        let tol = 1e-12 * (1.0 + cold.objective.abs());
+        assert!(
+            (warm_a.solution.objective - cold.objective).abs() <= tol,
+            "case {case} ({kind:?}): warm {} vs cold {}",
+            warm_a.solution.objective,
+            cold.objective
+        );
+        assert!(
+            child.is_feasible(&warm_a.solution.values, 1e-6),
+            "case {case} ({kind:?}): warm vertex infeasible"
+        );
+    }
+
+    // Determinism: identical warm inputs replay bit-for-bit.
+    assert_eq!(warm_a.solution.iterations, warm_b.solution.iterations);
+    assert_eq!(
+        warm_a.solution.objective.to_bits(),
+        warm_b.solution.objective.to_bits(),
+        "case {case} ({kind:?}): warm replay objective drifted"
+    );
+    for (x, y) in warm_a
+        .solution
+        .values
+        .iter()
+        .zip(warm_b.solution.values.iter())
+    {
+        assert_eq!(x.to_bits(), y.to_bits(), "case {case}: replay value drift");
+    }
+
+    // Donor-factors warm start: same verdict and objective; the factors
+    // are an optimisation, never allowed to change the answer beyond
+    // the parity tolerance.
+    let warm_f = solve_warm(&child, WarmStart { basis, factors }, &opts())
+        .expect("warm child solve with factors");
+    assert_eq!(
+        warm_f.solution.status, cold.status,
+        "case {case} ({kind:?}): factors-warm status diverged"
+    );
+    if cold.status == LpStatus::Optimal {
+        let tol = 1e-12 * (1.0 + cold.objective.abs());
+        assert!(
+            (warm_f.solution.objective - cold.objective).abs() <= tol,
+            "case {case} ({kind:?}): factors-warm {} vs cold {}",
+            warm_f.solution.objective,
+            cold.objective
+        );
+    }
+    Some(CaseReport {
+        warm: warm_a.warm,
+        pivoted: warm_a.warm && warm_a.solution.iterations > 0,
+    })
+}
+
+const KINDS: [Mutation; 4] = [
+    Mutation::Rhs,
+    Mutation::Cost,
+    Mutation::Bound,
+    Mutation::DropRow,
+];
+
 #[test]
 fn warm_matches_cold_across_mutations() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x5747_4c50);
-    let kinds = [
-        Mutation::Rhs,
-        Mutation::Cost,
-        Mutation::Bound,
-        Mutation::DropRow,
-    ];
     let mut total = 0usize;
-    let mut optimal_parents = 0usize;
     let mut captured = 0usize;
     let mut warm_used = 0usize;
     let mut warm_pivoted = 0usize;
     for case in 0..340 {
         let spec = random_spec(&mut rng);
-        let parent = spec.build();
-        let Ok(donor) = solve_revised_with_basis(&parent, &opts()) else {
+        if solve_revised_with_basis(&spec.build(), &opts()).is_err() {
+            continue;
+        }
+        total += 1;
+        let Some(report) = check_case(case, KINDS[case % KINDS.len()], &spec, &mut rng) else {
             continue;
         };
-        total += 1;
-        if donor.solution.status == LpStatus::Optimal {
-            optimal_parents += 1;
-        }
-        if donor.solution.status != LpStatus::Optimal || donor.basis.is_empty() {
-            continue;
-        }
         captured += 1;
-        let basis = donor.basis.clone();
-        let factors = donor.factors;
-
-        let kind = kinds[case % kinds.len()];
-        let child_spec = mutate(&spec, kind, &mut rng);
-        let child = child_spec.build();
-        let cold = solve_revised(&child, &opts()).expect("cold child solve");
-
-        // Basis-only warm start, twice: parity against cold plus the
-        // bit-identical replay check.
-        let warm_a = solve_warm(
-            &child,
-            WarmStart {
-                basis: basis.clone(),
-                factors: None,
-            },
-            &opts(),
-        )
-        .expect("warm child solve");
-        let warm_b = solve_warm(
-            &child,
-            WarmStart {
-                basis: basis.clone(),
-                factors: None,
-            },
-            &opts(),
-        )
-        .expect("warm child re-solve");
-
-        assert_eq!(
-            warm_a.solution.status, cold.status,
-            "case {case} ({kind:?}): warm status {:?} vs cold {:?}",
-            warm_a.solution.status, cold.status
-        );
-        if cold.status == LpStatus::Optimal {
-            let tol = 1e-12 * (1.0 + cold.objective.abs());
-            assert!(
-                (warm_a.solution.objective - cold.objective).abs() <= tol,
-                "case {case} ({kind:?}): warm {} vs cold {}",
-                warm_a.solution.objective,
-                cold.objective
-            );
-            assert!(
-                child.is_feasible(&warm_a.solution.values, 1e-6),
-                "case {case} ({kind:?}): warm vertex infeasible"
-            );
-        }
-
-        // Determinism: identical warm inputs replay bit-for-bit.
-        assert_eq!(warm_a.solution.iterations, warm_b.solution.iterations);
-        assert_eq!(
-            warm_a.solution.objective.to_bits(),
-            warm_b.solution.objective.to_bits(),
-            "case {case} ({kind:?}): warm replay objective drifted"
-        );
-        for (x, y) in warm_a
-            .solution
-            .values
-            .iter()
-            .zip(warm_b.solution.values.iter())
-        {
-            assert_eq!(x.to_bits(), y.to_bits(), "case {case}: replay value drift");
-        }
-
-        // Donor-factors warm start: same verdict and objective; the factors
-        // are an optimisation, never allowed to change the answer beyond
-        // the parity tolerance.
-        let warm_f = solve_warm(&child, WarmStart { basis, factors }, &opts())
-            .expect("warm child solve with factors");
-        assert_eq!(
-            warm_f.solution.status, cold.status,
-            "case {case} ({kind:?}): factors-warm status diverged"
-        );
-        if cold.status == LpStatus::Optimal {
-            let tol = 1e-12 * (1.0 + cold.objective.abs());
-            assert!(
-                (warm_f.solution.objective - cold.objective).abs() <= tol,
-                "case {case} ({kind:?}): factors-warm {} vs cold {}",
-                warm_f.solution.objective,
-                cold.objective
-            );
-        }
-
-        if warm_a.warm {
-            warm_used += 1;
-            if warm_a.solution.iterations > 0 {
-                warm_pivoted += 1;
-            }
-        }
+        warm_used += usize::from(report.warm);
+        warm_pivoted += usize::from(report.pivoted);
     }
     eprintln!(
-        "warm_cold_parity: total={total} optimal_parents={optimal_parents} captured={captured} warm_used={warm_used} warm_pivoted={warm_pivoted}"
+        "warm_cold_parity: total={total} captured={captured} warm_used={warm_used} warm_pivoted={warm_pivoted}"
     );
     assert!(total >= 300, "battery shrank: only {total} LPs generated");
     // The battery is only meaningful if the warm path actually runs: most
@@ -301,6 +333,77 @@ fn warm_matches_cold_across_mutations() {
     assert!(
         warm_pivoted >= 20,
         "warm path pivoted on only {warm_pivoted} cases"
+    );
+}
+
+/// A covering LP (as in [`random_spec`]) whose variables also carry lazy
+/// caps `x_j ≤ u_j` and lazy pair rows `x_i + x_j ≤ c`, loose enough to
+/// stay feasible and tight enough that some are violated without them.
+fn lazy_spec(rng: &mut ChaCha8Rng) -> Spec {
+    let mut spec = random_spec(rng);
+    let nv = spec.obj.len();
+    for j in 0..nv {
+        if rng.gen_bool(0.7) {
+            spec.rows.push((
+                vec![(j, 1.0)],
+                ConstraintOp::Le,
+                rng.gen_range(1.0..6.0),
+                true,
+            ));
+        }
+    }
+    for _ in 0..rng.gen_range(0..4) {
+        let (i, j) = (rng.gen_range(0..nv), rng.gen_range(0..nv));
+        if i != j {
+            let cap = rng.gen_range(2.0..8.0);
+            spec.rows
+                .push((vec![(i, 1.0), (j, 1.0)], ConstraintOp::Le, cap, true));
+        }
+    }
+    spec
+}
+
+#[test]
+fn lazy_warm_matches_cold_across_mutations() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x1A2_5747);
+    let mut captured = 0usize;
+    let mut held_back = 0usize;
+    let mut warm_used = 0usize;
+    let mut warm_pivoted = 0usize;
+    for case in 0..340 {
+        let spec = lazy_spec(&mut rng);
+        let parent = spec.build();
+        // Working set smaller than the model: the donor held rows back.
+        if let Ok(donor) = solve_revised_with_basis(&parent, &opts()) {
+            if donor
+                .factors
+                .is_some_and(|f| f.dim() < parent.num_constraints())
+            {
+                held_back += 1;
+            }
+        }
+        let Some(report) = check_case(case, KINDS[case % KINDS.len()], &spec, &mut rng) else {
+            continue;
+        };
+        captured += 1;
+        warm_used += usize::from(report.warm);
+        warm_pivoted += usize::from(report.pivoted);
+    }
+    eprintln!(
+        "lazy warm_cold_parity: captured={captured} held_back={held_back} warm_used={warm_used} warm_pivoted={warm_pivoted}"
+    );
+    assert!(captured >= 150, "only {captured} optimal lazy parents");
+    assert!(
+        held_back >= 150,
+        "rows held back on only {held_back} parents"
+    );
+    assert!(
+        warm_used >= 100,
+        "lazy warm path ran on only {warm_used} cases"
+    );
+    assert!(
+        warm_pivoted >= 15,
+        "lazy warm path pivoted on only {warm_pivoted}"
     );
 }
 
