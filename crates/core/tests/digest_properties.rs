@@ -1,5 +1,5 @@
 //! Property tests for [`SuuInstance::canonical_digest`], the key of the
-//! service's schedule cache and single-flight table.
+//! service's schedule store (cached and in-flight solves alike).
 //!
 //! The digest must be a pure function of the instance's *logical contents*:
 //!

@@ -8,19 +8,19 @@
 //!   for its structural class (independent → `SUU-I-OBL`, disjoint chains →
 //!   `SUU-C`, trees/forests → the block algorithm of Thms 4.7/4.8, general
 //!   DAGs → a serial baseline).
-//! * [`cache`] — a sharded LRU [`ScheduleCache`] keyed by the instance's
-//!   canonical digest, so repeated workloads are served without re-solving
-//!   the LP.
+//! * [`cache`] — the schedule store: a sharded LRU [`ScheduleCache`] keyed
+//!   by the instance's canonical digest, so repeated workloads are served
+//!   without re-solving the LP. Its entries are ready or pending, so one
+//!   lookup under the shard's mutex also coalesces identical concurrent
+//!   solves: one solver invocation per `(canonical_digest, variant, solver)`
+//!   no matter how many requests race.
 //! * [`protocol`] — the newline-delimited JSON request/response schema
 //!   (request ids, out-of-order responses, structured `error_kind`s).
-//! * [`flight`] — the single-flight layer coalescing identical concurrent
-//!   solves: one solver invocation per `(canonical_digest, solver)` no
-//!   matter how many requests race.
 //! * [`pipeline`] — the solver pool: readers tag NDJSON lines as jobs on a
 //!   shared bounded queue (full → structured `busy` rejection), solver
 //!   threads drain it and write responses out of order.
-//! * [`service`] — the [`SchedulerService`] combining registry, cache,
-//!   single-flight and metrics behind one entry point,
+//! * [`service`] — the [`SchedulerService`] combining registry, schedule
+//!   store and metrics behind one entry point,
 //!   [`handle`](SchedulerService::handle) (one request line in, one response
 //!   line out), plus the stdin/stdout transport
 //!   [`serve_lines`](SchedulerService::serve_lines).
@@ -48,7 +48,6 @@
 //! `perfbench/DESIGN.md`).
 
 pub mod cache;
-pub mod flight;
 pub mod metrics;
 pub mod obs;
 pub mod pipeline;
@@ -59,7 +58,6 @@ pub mod session;
 pub mod solver;
 
 pub use cache::{CacheConfig, CachedSolve, ScheduleCache, ShardStats};
-pub use flight::SingleFlight;
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use obs::{AtomicHistogram, HistogramSnapshot, Stage};
 pub use pipeline::{PipelineConfig, PoolHandle, ResponseSink, SolverPool};

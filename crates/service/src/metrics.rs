@@ -46,7 +46,7 @@ pub struct ServiceMetrics {
     /// misses that were not coalesced onto another in-flight solve).
     fresh_solves: AtomicU64,
     /// Requests served by waiting on another request's in-flight solve
-    /// (single-flight coalescing).
+    /// (coalesced onto a pending entry of the schedule store).
     coalesced: AtomicU64,
     /// Fresh solves that started warm: the LP was re-solved from a cached
     /// basis of a structurally identical parent. Always a subset of

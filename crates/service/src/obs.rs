@@ -318,7 +318,7 @@ pub enum Stage {
     /// transports only; cache-interned parses count at their — tiny — real
     /// cost).
     Parse,
-    /// Cache/flight resolution and the LP solve (the whole
+    /// Schedule-store resolution and the LP solve (the whole
     /// lookup-or-solve-or-wait step).
     Solve,
     /// Response body preparation (schedule serialisation or splice).

@@ -509,8 +509,8 @@ fn solver_loop(shared: &PoolShared, service: &SchedulerService) {
         };
         // A panicking solve must not kill this thread: the job's connection
         // would wait forever for its response and the session gate would
-        // stay closed. A leader's flight guard clears its slot on unwind;
-        // the job is answered like any failed solve.
+        // stay closed. A leader's pending entry in the schedule store is
+        // removed on unwind; the job is answered like any failed solve.
         let started = Instant::now();
         let line = catch_unwind(AssertUnwindSafe(|| service.handle(&job.line, &ctx)))
             .unwrap_or_else(|_| service.panicked_response(job.id_hint(), started));

@@ -87,8 +87,8 @@
 //! ```
 //!
 //! `queue_us` is time spent in the solve queue (0 for in-process callers of
-//! `SchedulerService::handle`), `solve_us` covers cache lookup + single-flight +
-//! solving, `render_us` the response serialisation, and `flush_us` the most
+//! `SchedulerService::handle`), `solve_us` covers the schedule-store lookup
+//! (including any wait on a coalesced solve) + solving, `render_us` the response serialisation, and `flush_us` the most
 //! recent write-side flush of the connection. `cache` reports how the
 //! schedule was obtained: `"hit"`, `"miss"` (fresh solve) or `"coalesced"`
 //! (waited on an identical in-flight solve). Tracing never forks the cache
@@ -100,7 +100,8 @@
 //! counters, per-stage latency histograms (log-bucketed `[lower_bound,
 //! count]` pairs plus `count`/`sum`/`mean`/`p50`/`p90`/`p99`/`p999`),
 //! per-solver counts, solve-queue depth/capacity, per-shard cache
-//! occupancy/hit/miss/eviction counters and the single-flight table size.
+//! occupancy/hit/miss/eviction counters and `flight_in_flight`, the number
+//! of solves currently pending in the schedule store.
 //! Unknown verbs are answered `error_kind: "bad_request"`.
 //!
 //! # Protocol v2: deltas against a cached base
@@ -214,7 +215,7 @@ impl CachePolicy {
 /// Response projection: how much of the solve result the response carries.
 ///
 /// Projection is presentation only — it never changes what is solved or
-/// cached, and therefore **must not** fork the cache or single-flight key.
+/// cached, and therefore **must not** fork the schedule-store key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Detail {
     /// The whole response including the schedule body (v1 behaviour).
@@ -272,7 +273,7 @@ pub struct SolveOptions {
     pub detail: Option<Detail>,
     /// Request per-stage lifecycle timings echoed on the response (the
     /// `trace` object). Presentation only: tracing **must not** fork the
-    /// cache or single-flight key.
+    /// schedule-store key.
     pub trace: bool,
 }
 
@@ -799,8 +800,9 @@ pub struct TraceReport {
     /// Microseconds spent in the solve queue before a solver thread picked
     /// the request up (0 for in-process callers, which skip the queue).
     pub queue_us: u64,
-    /// Microseconds from dispatch to a solved schedule: cache lookup,
-    /// single-flight coordination and (on a miss) the solve itself.
+    /// Microseconds from dispatch to a solved schedule: the schedule-store
+    /// lookup, any wait on a coalesced solve and (on a miss) the solve
+    /// itself.
     pub solve_us: u64,
     /// Microseconds spent rendering the response body.
     pub render_us: u64,
@@ -821,7 +823,7 @@ pub struct TraceReport {
 }
 
 /// A structured solve failure flowing between the service internals (the
-/// solver runner, the single-flight layer) before it is rendered into a
+/// solver runner, the schedule store's pending solves) before it is rendered into a
 /// [`Response`]: the machine-readable [`error_kind`], the human-readable
 /// message, and the budget post-mortem when a budget tripped.
 #[derive(Debug, Clone, PartialEq)]

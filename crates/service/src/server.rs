@@ -6,7 +6,7 @@
 //! jobs on the solver pool shared by **all** connections ([`SolverPool`],
 //! through [`SchedulerService::serve_lines`]): responses come back out of
 //! order, a full queue is rejected with a structured `busy` error, and
-//! identical concurrent solves are coalesced by the single-flight layer.
+//! identical concurrent solves are coalesced by the schedule store.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

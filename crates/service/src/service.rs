@@ -11,8 +11,7 @@ use suu_algorithms::LpBudget;
 use suu_core::SuuInstance;
 use suu_sim::OnlineStats;
 
-use crate::cache::{CacheConfig, CachedSolve, ScheduleCache};
-use crate::flight::{Flight, SingleFlight};
+use crate::cache::{CacheConfig, CachedSolve, Lookup, ScheduleCache};
 use crate::metrics::ServiceMetrics;
 use crate::obs::Stage;
 use crate::pipeline::{Job, PoolHandle, ResponseSink};
@@ -228,7 +227,6 @@ impl Default for ServiceConfig {
 pub struct SchedulerService {
     registry: SolverRegistry,
     cache: ScheduleCache,
-    flight: SingleFlight,
     metrics: ServiceMetrics,
     sessions: SessionTable,
     config: ServiceConfig,
@@ -287,7 +285,6 @@ impl SchedulerService {
         Self {
             registry,
             cache: ScheduleCache::new(&config.cache),
-            flight: SingleFlight::new(),
             metrics: ServiceMetrics::new(),
             sessions: SessionTable::new(config.max_sessions, config.session_idle_ttl_ms),
             config,
@@ -311,12 +308,6 @@ impl SchedulerService {
     #[must_use]
     pub fn registry(&self) -> &SolverRegistry {
         &self.registry
-    }
-
-    /// The single-flight table (for inspection in tests).
-    #[must_use]
-    pub fn flight(&self) -> &SingleFlight {
-        &self.flight
     }
 
     /// The adaptive-session table (for inspection in tests).
@@ -402,20 +393,12 @@ impl SchedulerService {
         request: &Request,
         directives: &Directives,
     ) -> Result<SolveOutcome, Response> {
-        if request
-            .num_jobs
-            .saturating_mul(request.num_machines)
-            .max(request.probs.len())
-            > self.config.max_cells
-        {
-            return Err(Response::failure(
-                request.id,
-                format!(
-                    "instance too large: {} x {} exceeds the {}-cell service limit",
-                    request.num_jobs, request.num_machines, self.config.max_cells
-                ),
-            ));
-        }
+        self.check_cells(
+            request.id,
+            request.num_jobs,
+            request.num_machines,
+            request.probs.len(),
+        )?;
         if directives.expired() {
             return Err(Response::deadline_exceeded(request.id));
         }
@@ -456,8 +439,8 @@ impl SchedulerService {
 
         // Whether this request carries a budget of its own. An *unbudgeted*
         // request can still see a budget failure by inheriting a budgeted
-        // leader's outcome through the flight layer (budgets deliberately
-        // don't fork the flight key); failures are never cached, so such a
+        // leader's outcome as a coalesced follower (budgets deliberately
+        // don't fork the store key); failures are never cached, so such a
         // request simply retries under its own unbounded limits — a v1
         // client must not be degraded by a stranger's budget.
         let budgeted =
@@ -582,20 +565,33 @@ impl SchedulerService {
             },
             None => base,
         };
-        if (request.base_digest.is_some() || request.delta.is_some())
-            && instance.num_jobs().saturating_mul(instance.num_machines()) > self.config.max_cells
-        {
+        if request.base_digest.is_some() || request.delta.is_some() {
+            self.check_cells(request.id, instance.num_jobs(), instance.num_machines(), 0)?;
+        }
+        Ok(instance)
+    }
+
+    /// The service's cell limit: a `jobs` x `machines` instance (whose
+    /// payload carries `cells` probabilities) may not exceed
+    /// [`ServiceConfig::max_cells`].
+    #[allow(clippy::result_large_err)]
+    fn check_cells(
+        &self,
+        id: u64,
+        jobs: usize,
+        machines: usize,
+        cells: usize,
+    ) -> Result<(), Response> {
+        if jobs.saturating_mul(machines).max(cells) > self.config.max_cells {
             return Err(Response::failure(
-                request.id,
+                id,
                 format!(
-                    "instance too large: {} x {} exceeds the {}-cell service limit",
-                    instance.num_jobs(),
-                    instance.num_machines(),
+                    "instance too large: {jobs} x {machines} exceeds the {}-cell service limit",
                     self.config.max_cells
                 ),
             ));
         }
-        Ok(instance)
+        Ok(())
     }
 
     /// Answers one NDJSON request line with its NDJSON response line (no
@@ -606,7 +602,7 @@ impl SchedulerService {
     /// Lines carrying a `verb` field are protocol commands (`stats` and the
     /// session verbs), answered without entering the scheduling path.
     /// Request lines are parsed through the interned-line cache, and
-    /// identical concurrent solves are coalesced by the single-flight layer.
+    /// identical concurrent solves are coalesced by the schedule store.
     /// The response splices the solve's [rendered
     /// body](CachedSolve::rendered_body) into its envelope: re-serialising a
     /// multi-kilobyte schedule per response would dominate the cost of a
@@ -797,10 +793,12 @@ impl SchedulerService {
     /// identical in-flight solve. The [`CacheOutcome`] distinguishes the
     /// three for the response's `cache_hit` flag and the `trace.cache` field.
     ///
-    /// `Bypass` and `Refresh` requests demand their own fresh solve, so they
-    /// go around both the cache read and the single-flight layer (they never
-    /// lead *or* follow a coalesced flight; `Refresh` still publishes its
-    /// result into the cache for later requests).
+    /// A default-policy request takes one [`ScheduleCache::lookup`]: a hit,
+    /// a lead (solve, then publish to the store and any followers) or a
+    /// follow (wait for the leader). `Bypass` and `Refresh` requests demand
+    /// their own fresh solve, so they go around the store's lookup (they
+    /// never lead *or* follow a coalesced solve; `Refresh` still inserts its
+    /// result for later requests).
     fn lookup_or_solve(
         &self,
         instance: &SuuInstance,
@@ -811,60 +809,43 @@ impl SchedulerService {
         match directives.cache {
             CachePolicy::Bypass => {
                 return self
-                    .run_solver(instance, solver, &directives.limits, None)
+                    .run_solver(instance, solver, &directives.limits)
                     .map(|s| (s, CacheOutcome::Miss));
             }
             CachePolicy::Refresh => {
-                return self
-                    .run_solver(instance, solver, &directives.limits, Some(variant))
-                    .map(|s| (s, CacheOutcome::Miss));
+                let solved = self.run_solver(instance, solver, &directives.limits)?;
+                self.cache.insert(instance, variant, solved.clone());
+                return Ok((solved, CacheOutcome::Miss));
             }
             CachePolicy::Default => {}
         }
-        let key = (
-            instance.canonical_digest(),
-            variant,
-            solver.name().to_string(),
-        );
-        match self
-            .flight
-            .begin(key, || self.cache.get(instance, solver.name(), variant))
-        {
-            Ok(hit) => Ok((hit, CacheOutcome::Hit)),
-            Err(Flight::Lead(guard)) => {
-                match self.run_solver(instance, solver, &directives.limits, Some(variant)) {
-                    Ok(solved) => {
-                        // `run_solver` already inserted into the cache, so
-                        // publishing (which clears the slot) is safe now.
-                        guard.publish(Ok(solved.clone()));
-                        Ok((solved, CacheOutcome::Miss))
-                    }
-                    Err(failure) => {
-                        guard.publish(Err(failure.clone()));
-                        Err(failure)
-                    }
-                }
+        match self.cache.lookup(instance, solver.name(), variant) {
+            Lookup::Hit(hit) => Ok((hit, CacheOutcome::Hit)),
+            Lookup::Lead(leader) => {
+                let result = self.run_solver(instance, solver, &directives.limits);
+                leader.publish(result.clone());
+                result.map(|solved| (solved, CacheOutcome::Miss))
             }
-            Err(Flight::Follow(flight)) => {
+            Lookup::Follow(follower) => {
                 self.metrics.record_coalesced();
                 // Followers inherit the leader's outcome — including a
                 // budget exhaustion under the *leader's* limits. Budgets
-                // don't fork the flight key (a success is bit-identical
+                // don't fork the store key (a success is bit-identical
                 // either way), and failures are not cached, so a follower
                 // that wants to pay more simply retries (`solve_flow` does
                 // exactly that for unbudgeted requests). The follower's own
                 // deadline keeps binding while parked: the wait gives up at
                 // that instant with a structured time-budget failure.
-                flight
-                    .wait_until(directives.limits.deadline)
+                follower
+                    .wait(directives.limits.deadline)
                     .map(|solved| (solved, CacheOutcome::Coalesced))
             }
         }
     }
 
     /// Runs the solver under the request's limits and records the
-    /// fresh-solve bookkeeping (LP effort aggregation, cache insert under
-    /// `insert_variant` unless the cache policy said to skip). Cache hits
+    /// fresh-solve bookkeeping (LP effort aggregation, the warm-start
+    /// donor); the caller decides whether the result is cached. Cache hits
     /// and coalesced waits repeat the original solve's numbers in their
     /// responses but burn no new pivots.
     fn run_solver(
@@ -872,7 +853,6 @@ impl SchedulerService {
         instance: &SuuInstance,
         solver: &dyn Solver,
         limits: &LpBudget,
-        insert_variant: Option<u8>,
     ) -> Result<CachedSolve, SolveFailure> {
         // Warm starts ride on the structural digest: a solve of the same
         // structural class (shape + precedence, probabilities free) left a
@@ -901,18 +881,14 @@ impl SchedulerService {
                         output.lp_factors.take(),
                     );
                 }
-                let solved = CachedSolve::new(
+                Ok(CachedSolve::new(
                     solver.name().to_string(),
                     output.schedule,
                     output.lp_value,
                     output.lp_pivots,
                     output.lp_micros,
                     output.lp_warm,
-                );
-                if let Some(variant) = insert_variant {
-                    self.cache.insert(instance, variant, solved.clone());
-                }
-                Ok(solved)
+                ))
             }
             Err(suu_algorithms::AlgorithmError::BudgetExhausted { pivots, wall_clock }) => {
                 Err(SolveFailure {
@@ -1071,19 +1047,13 @@ impl SchedulerService {
                 ))
             }
         };
-        if request
-            .num_jobs
-            .saturating_mul(request.num_machines)
-            .max(request.probs.len())
-            > self.config.max_cells
-        {
-            return render_response(&Response::failure(
-                id,
-                format!(
-                    "instance too large: {} x {} exceeds the {}-cell service limit",
-                    request.num_jobs, request.num_machines, self.config.max_cells
-                ),
-            ));
+        if let Err(failure) = self.check_cells(
+            id,
+            request.num_jobs,
+            request.num_machines,
+            request.probs.len(),
+        ) {
+            return render_response(&failure);
         }
         let instance = match request.to_instance() {
             Ok(instance) => instance,
@@ -1320,7 +1290,7 @@ impl SchedulerService {
     /// The full observability snapshot behind the `stats` verb, as a JSON
     /// value: request/error counters, per-stage latency histograms, LP
     /// effort, solve-queue gauges, per-solver counts, per-shard cache
-    /// counters and the single-flight table size.
+    /// counters and the number of pending solves (`flight_in_flight`).
     fn stats_value(&self) -> Value {
         let snap = self.metrics.snapshot();
         let shards = self.cache.shard_stats();
@@ -1409,7 +1379,7 @@ impl SchedulerService {
             ),
             (
                 "flight_in_flight".to_string(),
-                self.flight.in_flight().to_value(),
+                self.cache.in_flight().to_value(),
             ),
             (
                 "sessions".to_string(),

@@ -1,5 +1,5 @@
 //! End-to-end battery for the v2 solve-options API: budgets, deadlines,
-//! cache policies, response projection and their cache/single-flight key
+//! cache policies, response projection and their schedule-store key
 //! semantics.
 
 mod common;

@@ -2,8 +2,8 @@
 //! structured `solver_error` and nothing else. On both transports (stdin and
 //! TCP) the solver thread survives, later requests — including a later line
 //! of the same session — are answered, and no in-flight state leaks: the
-//! connection drains, and the solve queue, the single-flight table, the
-//! session gate and the session table end empty.
+//! connection drains, and the solve queue, the schedule store's pending
+//! solves, the session gate and the session table end empty.
 
 mod common;
 
@@ -122,9 +122,9 @@ fn check(responses: &[Response], service: &SchedulerService, pool: &PoolHandle, 
     );
     assert_eq!(pool.queue_depth(), 0, "{transport}: queue drained");
     assert_eq!(
-        service.flight().in_flight(),
+        service.cache().in_flight(),
         0,
-        "{transport}: flight slot cleared"
+        "{transport}: pending solve cleared"
     );
     assert!(
         service.sessions().is_empty(),

@@ -149,8 +149,9 @@ fn concurrent_clients_get_valid_schedules_and_cache_hits() {
     // (b) repeats are served from the cache. The server coalesces
     // concurrent duplicates, so each instance typically misses exactly once;
     // coalesced followers report `cache_hit` too, and the bound stays <= 4
-    // as a margin. (Exactly-one-solve coalescing is pinned in
-    // crates/service/tests/pipeline_stress.rs.)
+    // as a margin. (Exactly one solve under racing duplicates is pinned by
+    // the gated coalescing battery in crates/service/tests/pipeline_stress.rs,
+    // which holds the leader's solve until every duplicate has coalesced.)
     for which in 0..instances.len() {
         let misses = all
             .iter()

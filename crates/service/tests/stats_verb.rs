@@ -227,11 +227,17 @@ fn check(lines: &[String], transport: &str) {
         other => panic!("{transport}: per_solver not an object: {other:?}"),
     }
 
-    // Cache counters: every solve consulted the cache, and the snapshot
-    // carries the per-shard breakdown.
+    // Cache counters: every solve consulted the store exactly once, every
+    // miss solved fresh or coalesced, and the snapshot carries the
+    // per-shard breakdown.
     let hits = number(stats, &["cache", "hits"]) as u64;
     let misses = number(stats, &["cache", "misses"]) as u64;
-    assert!(hits + misses >= SOLVES as u64, "{transport}");
+    assert_eq!(hits + misses, SOLVES as u64, "{transport}");
+    assert_eq!(
+        misses,
+        (number(stats, &["fresh_solves"]) + number(stats, &["coalesced"])) as u64,
+        "{transport}"
+    );
     match stats.get("cache").and_then(|c| c.get("shards")) {
         Some(Value::Array(shards)) => assert!(!shards.is_empty(), "{transport}"),
         other => panic!("{transport}: cache.shards not an array: {other:?}"),
