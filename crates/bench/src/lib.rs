@@ -20,9 +20,10 @@
 //! | A1–A3 | ablations (replication σ, delay strategy, bucketing) | [`experiments::ablations`] |
 //!
 //! Every experiment function takes a [`RunConfig`] (quick vs full sweeps) and
-//! returns a [`report::Table`] that the `exp_*` binaries print; the Criterion
-//! benches under `benches/` measure the running time of the algorithms
-//! themselves.
+//! returns a [`report::Table`] that the `exp_*` binaries print. Running time
+//! is measured elsewhere: the LP engines by `exp_lp_scaling`, and the
+//! served solve path layer by layer by the service benchmark in
+//! `perfbench/`.
 
 pub mod experiments;
 pub mod report;

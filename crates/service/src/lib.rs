@@ -34,8 +34,10 @@
 //!   hosts the `suu-sim`-backed closed-loop client driver
 //!   ([`drive_session`]) used by the `exp_adaptive` experiment and the
 //!   service benchmark.
-//! * [`metrics`] — request/error/latency/coalescing counters shared by the
-//!   transports, aggregated into lock-free per-stage histograms.
+//! * [`metrics`] — every service counter is one [`Counter`] slot of a fixed
+//!   atomic table; per-solver request counts get one slot per registered
+//!   solver; latencies go to lock-free per-stage and named histograms.
+//!   Nothing on the recording path takes a lock or allocates.
 //! * [`obs`] — the observability primitives underneath [`metrics`]: a
 //!   log-bucketed [`AtomicHistogram`] (wait-free recording, mergeable
 //!   snapshots, p50/p90/p99/p999) and the request-lifecycle [`Stage`]
@@ -58,7 +60,7 @@ pub mod session;
 pub mod solver;
 
 pub use cache::{CacheConfig, CachedSolve, ScheduleCache, ShardStats};
-pub use metrics::{MetricsSnapshot, ServiceMetrics};
+pub use metrics::{Counter, MetricsSnapshot, ServiceMetrics};
 pub use obs::{AtomicHistogram, HistogramSnapshot, Stage};
 pub use pipeline::{PipelineConfig, PoolHandle, ResponseSink, SolverPool};
 pub use protocol::{

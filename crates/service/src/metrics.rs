@@ -1,154 +1,227 @@
-//! Service-side metrics: request counts, per-solver counts, and lock-free
-//! per-stage latency histograms (see [`crate::obs`]).
+//! Service-side metrics: one table of counters indexed by [`Counter`],
+//! per-solver request counts, and lock-free latency histograms (see
+//! [`crate::obs`]).
+//!
+//! Recording never takes a lock or allocates. Every counter and gauge is one
+//! relaxed [`AtomicU64`] slot of a fixed table; the per-solver slots are
+//! fixed when the service builds its metrics from the solver registry; the
+//! histograms are [`AtomicHistogram`]s. Adding a counter means adding one
+//! [`Counter`] variant, plus one `stats` key to put it on the wire.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::obs::{AtomicHistogram, HistogramSnapshot, Stage};
+use crate::obs::{elapsed_us, AtomicHistogram, HistogramSnapshot, Stage};
 
-/// Live counters shared by all worker threads. Everything on the request
-/// path is a relaxed atomic (counters) or an [`AtomicHistogram`] (latency
-/// distributions) — recording never takes a lock except for the cold
-/// per-solver name map.
+/// Every scalar the service counts: one slot each in [`ServiceMetrics`] and
+/// [`MetricsSnapshot`]. All are monotone counters except the two queue
+/// gauges, which are [`set`](ServiceMetrics::set) rather than
+/// [`add`](ServiceMetrics::add)ed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Handled requests, successes and errors alike (see [`ServiceMetrics`]
+    /// for what is answered but not counted).
+    Requests,
+    /// Handled requests that produced an error response.
+    Errors,
+    /// Admission-control rejections (`busy`); not in `Requests`.
+    BusyRejections,
+    /// Jobs dropped at dequeue with an expired deadline; not in `Requests`.
+    ExpiredDropped,
+    /// Schedules actually computed by a solver: cache misses that were not
+    /// coalesced onto another request's solve.
+    FreshSolves,
+    /// Fresh solves whose LP was re-solved from a cached donor basis of a
+    /// structurally identical parent; a subset of `FreshSolves`.
+    WarmHits,
+    /// Delta requests whose `base_digest` the cache could not resolve
+    /// (answered `unknown_base`).
+    UnknownBase,
+    /// Requests served by waiting on an identical in-flight solve.
+    Coalesced,
+    /// Simplex pivots spent by the LP engine on fresh solves.
+    LpPivots,
+    /// Most recently sampled solve-queue depth (gauge).
+    QueueDepth,
+    /// The solve queue's admission bound (gauge; 0 until a transport
+    /// reports it).
+    QueueCapacity,
+    /// Sessions opened via `open_session`.
+    SessionsOpened,
+    /// Sessions closed explicitly via `close_session`.
+    SessionsClosed,
+    /// Sessions evicted without a close: client disconnect or idle TTL.
+    SessionsEvicted,
+    /// Schedule revisions served to sessions: each admitted `open_session`
+    /// (revision 0) and every `session_event` re-solve.
+    Revisions,
+    /// Revisions whose suffix re-solve started from a cached donor basis; a
+    /// subset of `Revisions`.
+    RevisionWarmHits,
+    /// Events or closes naming a session the table does not hold (answered
+    /// `unknown_session`).
+    UnknownSession,
+}
+
+impl Counter {
+    /// Every counter, in table order.
+    pub const ALL: [Counter; 17] = [
+        Counter::Requests,
+        Counter::Errors,
+        Counter::BusyRejections,
+        Counter::ExpiredDropped,
+        Counter::FreshSolves,
+        Counter::WarmHits,
+        Counter::UnknownBase,
+        Counter::Coalesced,
+        Counter::LpPivots,
+        Counter::QueueDepth,
+        Counter::QueueCapacity,
+        Counter::SessionsOpened,
+        Counter::SessionsClosed,
+        Counter::SessionsEvicted,
+        Counter::Revisions,
+        Counter::RevisionWarmHits,
+        Counter::UnknownSession,
+    ];
+
+    /// Stable report name (the key in [`MetricsSnapshot::render`]).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Counter::Requests => "requests",
+            Counter::Errors => "errors",
+            Counter::BusyRejections => "busy_rejections",
+            Counter::ExpiredDropped => "expired_dropped",
+            Counter::FreshSolves => "fresh_solves",
+            Counter::WarmHits => "warm_hits",
+            Counter::UnknownBase => "unknown_base",
+            Counter::Coalesced => "coalesced",
+            Counter::LpPivots => "lp_pivots",
+            Counter::QueueDepth => "queue_depth",
+            Counter::QueueCapacity => "queue_capacity",
+            Counter::SessionsOpened => "sessions_opened",
+            Counter::SessionsClosed => "sessions_closed",
+            Counter::SessionsEvicted => "sessions_evicted",
+            Counter::Revisions => "revisions",
+            Counter::RevisionWarmHits => "revision_warm_hits",
+            Counter::UnknownSession => "unknown_session",
+        }
+    }
+
+    /// Dense index (position in [`Counter::ALL`]).
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// Live metrics shared by all worker threads.
 ///
 /// # What counts as a request
 ///
-/// `requests` counts **handled** requests: every request a solver path
-/// actually answered, successes and errors alike. Two classes of traffic
-/// are answered but deliberately *not* counted (this is the one place that
-/// rule is documented; the counters below refer back here):
+/// [`Counter::Requests`] counts **handled** requests: every request a solver
+/// path actually answered, successes and errors alike. Two classes of
+/// traffic are answered but deliberately *not* counted (this is the one
+/// place that rule is documented):
 ///
-/// * `busy_rejections` — admission control turned the request away because
-///   the solve queue was full; it was never executed.
-/// * `expired_dropped` — the job's deadline had already passed when a solver
-///   thread dequeued it; it was answered `deadline_exceeded` without any
-///   solver work. This counter is the proof that expired jobs cost zero
-///   solver-thread time.
+/// * [`Counter::BusyRejections`] — admission control turned the request away
+///   because the solve queue was full; it was never executed.
+/// * [`Counter::ExpiredDropped`] — the job's deadline had already passed
+///   when a solver thread dequeued it; it was answered `deadline_exceeded`
+///   without any solver work. This counter is the proof that expired jobs
+///   cost zero solver-thread time.
 ///
-/// Protocol noise (unparseable lines, answered `bad_request`) and `stats`
-/// verb requests are likewise answered without entering `requests`.
+/// Protocol noise (unparseable lines, answered `bad_request`) and verb lines
+/// (`stats`, the session verbs) are likewise answered without entering
+/// `Requests`.
+///
+/// # Histograms
+///
+/// Each named histogram has one recording method, which also bumps the
+/// counters that go with it: [`record`](Self::record) (handling latency),
+/// [`record_lp`](Self::record_lp) (LP wall clock),
+/// [`record_queue_depth`](Self::record_queue_depth) (depth samples) and
+/// [`record_revision`](Self::record_revision) (session revision latency).
+/// The per-stage histograms are recorded by
+/// [`record_stage`](Self::record_stage). The `queue` stage only accumulates
+/// for jobs dequeued by a solver thread (not for in-process calls of
+/// `handle`); `parse`/`solve`/`render` record once per handled request.
 pub struct ServiceMetrics {
     /// When this metrics block was created (service start, for uptime).
     start: Instant,
-    requests: AtomicU64,
-    errors: AtomicU64,
+    /// The counter table, indexed by [`Counter::index`].
+    counters: [AtomicU64; Counter::ALL.len()],
+    /// Handled requests per registered solver, sorted by name.
+    per_solver: Box<[(&'static str, AtomicU64)]>,
     /// End-to-end service-side handling latency, in microseconds.
     latency_micros: AtomicHistogram,
-    per_solver: Mutex<HashMap<String, u64>>,
-    /// Total simplex pivots spent by the LP engine on fresh solves.
-    lp_pivots: AtomicU64,
-    /// Per-solve LP wall-clock distribution in microseconds (fresh solves
-    /// only; cache hits spend no LP time).
+    /// Per-solve LP wall clock in microseconds (fresh solves only; cache
+    /// hits spend no LP time).
     lp_micros: AtomicHistogram,
-    /// Requests whose schedule was actually computed by a solver (cache
-    /// misses that were not coalesced onto another in-flight solve).
-    fresh_solves: AtomicU64,
-    /// Requests served by waiting on another request's in-flight solve
-    /// (coalesced onto a pending entry of the schedule store).
-    coalesced: AtomicU64,
-    /// Fresh solves that started warm: the LP was re-solved from a cached
-    /// basis of a structurally identical parent. Always a subset of
-    /// `fresh_solves`.
-    warm_hits: AtomicU64,
-    /// Delta requests that named a `base_digest` the cache could not
-    /// resolve (answered `unknown_base`).
-    unknown_base: AtomicU64,
-    /// Admission-control rejections; not counted in `requests` (see the
-    /// struct docs).
-    busy_rejections: AtomicU64,
-    /// Deadline-expired jobs dropped at dequeue; not counted in `requests`
-    /// (see the struct docs).
-    expired_dropped: AtomicU64,
-    /// Per-stage latency histograms, indexed by [`Stage::index`]. The
-    /// `queue` stage only accumulates for jobs dequeued by a solver thread
-    /// (not for in-process calls of `handle`); `parse`/`solve`/`render`
-    /// record once per handled request.
-    stages: [AtomicHistogram; Stage::ALL.len()],
-    /// Most recently sampled solve-queue depth (gauge).
-    queue_depth: AtomicU64,
-    /// The solve queue's admission bound (0 until a transport reports it).
-    queue_capacity: AtomicU64,
-    /// Distribution of sampled queue depths (one sample per accepted
-    /// submission).
+    /// Sampled queue depths (one sample per accepted submission).
     queue_depth_samples: AtomicHistogram,
-    /// Sessions opened via the `open_session` verb.
-    sessions_opened: AtomicU64,
-    /// Sessions closed explicitly via `close_session`.
-    sessions_closed: AtomicU64,
-    /// Sessions evicted without a close: client disconnect or idle TTL.
-    sessions_evicted: AtomicU64,
-    /// Schedule revisions served to sessions (the `open_session` revision 0
-    /// and every `session_event` re-solve).
-    revisions: AtomicU64,
-    /// Revisions whose suffix re-solve started from a cached donor basis.
-    /// Always a subset of `revisions`; the per-revision warm-hit rate is
-    /// `revision_warm_hits / revisions`.
-    revision_warm_hits: AtomicU64,
-    /// Events or closes naming a session the table does not hold (answered
-    /// with the structured `unknown_session` error kind).
-    unknown_session: AtomicU64,
     /// End-to-end latency of serving one session revision (event apply +
     /// suffix re-solve + schedule translation), in microseconds. A separate
     /// histogram rather than a new [`Stage`]: session verbs never enter the
     /// request pipeline whose stage vocabulary is pinned by the stats-verb
     /// consistency contract.
     revision_latency: AtomicHistogram,
-}
-
-impl Default for ServiceMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Per-stage latency histograms, indexed by [`Stage::index`].
+    stages: [AtomicHistogram; Stage::ALL.len()],
 }
 
 impl ServiceMetrics {
-    /// A zeroed metrics block; uptime starts counting now.
+    /// A zeroed metrics block with one request-count slot per solver name
+    /// (duplicates share a slot); uptime starts counting now.
     #[must_use]
-    pub fn new() -> Self {
+    pub fn new(solvers: &[&'static str]) -> Self {
+        let mut names = solvers.to_vec();
+        names.sort_unstable();
+        names.dedup();
         Self {
             start: Instant::now(),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            per_solver: names
+                .into_iter()
+                .map(|name| (name, AtomicU64::new(0)))
+                .collect(),
             latency_micros: AtomicHistogram::new(),
-            per_solver: Mutex::new(HashMap::new()),
-            lp_pivots: AtomicU64::new(0),
             lp_micros: AtomicHistogram::new(),
-            fresh_solves: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            unknown_base: AtomicU64::new(0),
-            busy_rejections: AtomicU64::new(0),
-            expired_dropped: AtomicU64::new(0),
-            stages: Default::default(),
-            queue_depth: AtomicU64::new(0),
-            queue_capacity: AtomicU64::new(0),
             queue_depth_samples: AtomicHistogram::new(),
-            sessions_opened: AtomicU64::new(0),
-            sessions_closed: AtomicU64::new(0),
-            sessions_evicted: AtomicU64::new(0),
-            revisions: AtomicU64::new(0),
-            revision_warm_hits: AtomicU64::new(0),
-            unknown_session: AtomicU64::new(0),
             revision_latency: AtomicHistogram::new(),
+            stages: Default::default(),
         }
     }
 
-    /// Records one handled request.
+    /// Adds `n` to a counter.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter.index()].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Overwrites a gauge.
+    pub fn set(&self, counter: Counter, value: u64) {
+        self.counters[counter.index()].store(value, Ordering::Relaxed);
+    }
+
+    /// The current value of a counter.
+    #[must_use]
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter.index()].load(Ordering::Relaxed)
+    }
+
+    /// Records one handled request, answered by `solver` (when one ran) in
+    /// `micros`. A name outside the registry the metrics were built from
+    /// counts as a request but has no per-solver slot.
     pub fn record(&self, solver: Option<&str>, ok: bool, micros: u64) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::Requests, 1);
         if !ok {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+            self.add(Counter::Errors, 1);
         }
         self.latency_micros.record(micros);
-        if let Some(solver) = solver {
-            *self
-                .per_solver
-                .lock()
-                .expect("solver counts poisoned")
-                .entry(solver.to_string())
-                .or_insert(0) += 1;
+        if let Some((_, slot)) = solver.and_then(|s| self.per_solver.iter().find(|(n, _)| *n == s))
+        {
+            slot.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -160,339 +233,123 @@ impl ServiceMetrics {
     /// Records one solve-queue depth sample (taken at submission) and
     /// refreshes the depth gauge.
     pub fn record_queue_depth(&self, depth: u64) {
-        self.queue_depth.store(depth, Ordering::Relaxed);
+        self.set(Counter::QueueDepth, depth);
         self.queue_depth_samples.record(depth);
-    }
-
-    /// Publishes the solve queue's admission bound (once, at transport
-    /// start; repeated calls just overwrite).
-    pub fn set_queue_capacity(&self, capacity: u64) {
-        self.queue_capacity.store(capacity, Ordering::Relaxed);
     }
 
     /// Records the LP effort of one fresh (non-cached) LP-backed solve.
     pub fn record_lp(&self, pivots: usize, micros: u64) {
-        self.lp_pivots.fetch_add(pivots as u64, Ordering::Relaxed);
+        self.add(Counter::LpPivots, pivots as u64);
         self.lp_micros.record(micros);
-    }
-
-    /// Records one schedule actually computed by a solver (not served from
-    /// the cache, not coalesced onto another request's solve).
-    pub fn record_fresh_solve(&self) {
-        self.fresh_solves.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request served by waiting on an identical in-flight solve.
-    pub fn record_coalesced(&self) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one fresh solve that started from a cached donor basis.
-    pub fn record_warm_hit(&self) {
-        self.warm_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one delta request whose `base_digest` was not cached.
-    pub fn record_unknown_base(&self) {
-        self.unknown_base.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one admission-control rejection (`busy` response).
-    pub fn record_busy(&self) {
-        self.busy_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one job dropped at dequeue because its deadline had passed.
-    pub fn record_expired_dropped(&self) {
-        self.expired_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one session opened via `open_session`.
-    pub fn record_session_opened(&self) {
-        self.sessions_opened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one session closed explicitly via `close_session`.
-    pub fn record_session_closed(&self) {
-        self.sessions_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `count` sessions evicted without a close (disconnect or idle
-    /// TTL).
-    pub fn record_sessions_evicted(&self, count: u64) {
-        if count > 0 {
-            self.sessions_evicted.fetch_add(count, Ordering::Relaxed);
-        }
     }
 
     /// Records one schedule revision served to a session, its end-to-end
     /// latency, and whether its suffix re-solve started warm.
     pub fn record_revision(&self, micros: u64, warm: bool) {
-        self.revisions.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::Revisions, 1);
         if warm {
-            self.revision_warm_hits.fetch_add(1, Ordering::Relaxed);
+            self.add(Counter::RevisionWarmHits, 1);
         }
         self.revision_latency.record(micros);
-    }
-
-    /// Records one event or close that named an unknown session.
-    pub fn record_unknown_session(&self) {
-        self.unknown_session.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of schedules actually computed by a solver so far.
-    #[must_use]
-    pub fn fresh_solves(&self) -> u64 {
-        self.fresh_solves.load(Ordering::Relaxed)
-    }
-
-    /// Number of requests coalesced onto another request's solve so far.
-    #[must_use]
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Number of fresh solves that started warm so far.
-    #[must_use]
-    pub fn warm_hits(&self) -> u64 {
-        self.warm_hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of `unknown_base` delta rejections so far.
-    #[must_use]
-    pub fn unknown_base(&self) -> u64 {
-        self.unknown_base.load(Ordering::Relaxed)
-    }
-
-    /// Number of admission-control rejections so far.
-    #[must_use]
-    pub fn busy_rejections(&self) -> u64 {
-        self.busy_rejections.load(Ordering::Relaxed)
-    }
-
-    /// Number of jobs dropped at dequeue with an expired deadline so far.
-    #[must_use]
-    pub fn expired_dropped(&self) -> u64 {
-        self.expired_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Number of sessions opened so far.
-    #[must_use]
-    pub fn sessions_opened(&self) -> u64 {
-        self.sessions_opened.load(Ordering::Relaxed)
-    }
-
-    /// Number of sessions closed explicitly so far.
-    #[must_use]
-    pub fn sessions_closed(&self) -> u64 {
-        self.sessions_closed.load(Ordering::Relaxed)
-    }
-
-    /// Number of sessions evicted (disconnect or idle TTL) so far.
-    #[must_use]
-    pub fn sessions_evicted(&self) -> u64 {
-        self.sessions_evicted.load(Ordering::Relaxed)
-    }
-
-    /// Number of schedule revisions served to sessions so far.
-    #[must_use]
-    pub fn revisions(&self) -> u64 {
-        self.revisions.load(Ordering::Relaxed)
-    }
-
-    /// Number of revisions whose suffix re-solve started warm so far.
-    #[must_use]
-    pub fn revision_warm_hits(&self) -> u64 {
-        self.revision_warm_hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of unknown-session rejections so far.
-    #[must_use]
-    pub fn unknown_session(&self) -> u64 {
-        self.unknown_session.load(Ordering::Relaxed)
     }
 
     /// Microseconds since this metrics block was created.
     #[must_use]
     pub fn uptime_micros(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
+        elapsed_us(self.start)
     }
 
-    /// A consistent point-in-time snapshot.
+    /// A point-in-time snapshot (each slot is read once, relaxed).
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut per_solver: Vec<(String, u64)> = self
-            .per_solver
-            .lock()
-            .expect("solver counts poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        per_solver.sort();
         MetricsSnapshot {
             uptime_micros: self.uptime_micros(),
-            requests: self.requests.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
+            counters: Counter::ALL.map(|counter| self.get(counter)),
+            per_solver: self
+                .per_solver
+                .iter()
+                .map(|(name, slot)| (*name, slot.load(Ordering::Relaxed)))
+                .filter(|&(_, count)| count > 0)
+                .collect(),
             latency_micros: self.latency_micros.snapshot(),
-            per_solver,
-            lp_pivots: self.lp_pivots.load(Ordering::Relaxed),
             lp_micros: self.lp_micros.snapshot(),
-            fresh_solves: self.fresh_solves.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            unknown_base: self.unknown_base.load(Ordering::Relaxed),
-            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
-            expired_dropped: self.expired_dropped.load(Ordering::Relaxed),
+            queue_depth_samples: self.queue_depth_samples.snapshot(),
+            revision_latency: self.revision_latency.snapshot(),
             stages: Stage::ALL
                 .iter()
                 .map(|&stage| (stage, self.stages[stage.index()].snapshot()))
                 .collect(),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_capacity: self.queue_capacity.load(Ordering::Relaxed),
-            queue_depth_samples: self.queue_depth_samples.snapshot(),
-            sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
-            sessions_closed: self.sessions_closed.load(Ordering::Relaxed),
-            sessions_evicted: self.sessions_evicted.load(Ordering::Relaxed),
-            revisions: self.revisions.load(Ordering::Relaxed),
-            revision_warm_hits: self.revision_warm_hits.load(Ordering::Relaxed),
-            unknown_session: self.unknown_session.load(Ordering::Relaxed),
-            revision_latency: self.revision_latency.snapshot(),
         }
     }
 }
 
-/// Point-in-time copy of the service counters.
+/// Point-in-time copy of the service metrics.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     /// Microseconds since service start.
     pub uptime_micros: u64,
-    /// Requests handled (including failures). `busy` rejections and
-    /// deadline-expired drops are answered but **not** counted here — see
-    /// the [`ServiceMetrics`] docs for the full rule.
-    pub requests: u64,
-    /// Requests that produced an error response.
-    pub errors: u64,
+    /// The counter table, indexed by [`Counter::index`]; read with
+    /// [`get`](Self::get).
+    counters: [u64; Counter::ALL.len()],
+    /// Handled requests per solver, sorted by name; solvers that answered
+    /// nothing are left out.
+    pub per_solver: Vec<(&'static str, u64)>,
     /// Distribution of service-side handling latency in microseconds.
     pub latency_micros: HistogramSnapshot,
-    /// Requests per solver name, sorted by name.
-    pub per_solver: Vec<(String, u64)>,
-    /// Total simplex pivots across all fresh LP-backed solves.
-    pub lp_pivots: u64,
     /// Distribution of per-solve LP wall-clock microseconds (fresh solves
-    /// only).
+    /// only); its count is the number of LP-backed fresh solves.
     pub lp_micros: HistogramSnapshot,
-    /// Schedules actually computed by a solver (not cached, not coalesced).
-    pub fresh_solves: u64,
-    /// Requests served by waiting on an identical in-flight solve.
-    pub coalesced: u64,
-    /// Fresh solves that started from a cached donor basis (warm starts);
-    /// always ≤ `fresh_solves`.
-    pub warm_hits: u64,
-    /// Delta requests rejected with `unknown_base`.
-    pub unknown_base: u64,
-    /// Requests rejected by admission control (`busy`); excluded from
-    /// `requests` (see [`ServiceMetrics`]).
-    pub busy_rejections: u64,
-    /// Jobs dropped at dequeue with an expired deadline; excluded from
-    /// `requests` (see [`ServiceMetrics`]).
-    pub expired_dropped: u64,
-    /// Per-stage latency histograms in pipeline order.
-    pub stages: Vec<(Stage, HistogramSnapshot)>,
-    /// Most recently sampled solve-queue depth.
-    pub queue_depth: u64,
-    /// Solve-queue admission bound (0 when no transport reported one).
-    pub queue_capacity: u64,
     /// Distribution of queue-depth samples (one per accepted submission).
     pub queue_depth_samples: HistogramSnapshot,
-    /// Sessions opened via `open_session`.
-    pub sessions_opened: u64,
-    /// Sessions closed explicitly via `close_session`.
-    pub sessions_closed: u64,
-    /// Sessions evicted without a close (disconnect or idle TTL).
-    pub sessions_evicted: u64,
-    /// Schedule revisions served to sessions.
-    pub revisions: u64,
-    /// Revisions whose suffix re-solve started warm; ≤ `revisions`.
-    pub revision_warm_hits: u64,
-    /// Events/closes that named an unknown session.
-    pub unknown_session: u64,
     /// Distribution of per-revision serving latency in microseconds.
     pub revision_latency: HistogramSnapshot,
+    /// Per-stage latency histograms in pipeline order.
+    pub stages: Vec<(Stage, HistogramSnapshot)>,
 }
 
 impl MetricsSnapshot {
+    /// The value a counter had when the snapshot was taken.
+    #[must_use]
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter.index()]
+    }
+
     /// The snapshot of one lifecycle stage's histogram.
     #[must_use]
     pub fn stage(&self, stage: Stage) -> &HistogramSnapshot {
         &self.stages[stage.index()].1
     }
 
-    /// Renders a compact human-readable report.
+    /// Renders a compact human-readable report: every counter on one line,
+    /// then one line per non-empty histogram, then the per-solver counts.
     #[must_use]
     pub fn render(&self) -> String {
-        let lat = &self.latency_micros;
-        let mut out = format!(
-            "requests={} errors={} latency_mean={:.1}us latency_p50={}us \
-             latency_p99={}us latency_max={}us\n",
-            self.requests,
-            self.errors,
-            lat.mean(),
-            lat.p50(),
-            lat.p99(),
-            lat.max_bound()
-        );
-        out.push_str(&format!(
-            "lp_solves={} lp_pivots={} lp_mean={:.1}us lp_p99={}us lp_max={}us\n",
-            self.lp_micros.count(),
-            self.lp_pivots,
-            self.lp_micros.mean(),
-            self.lp_micros.p99(),
-            self.lp_micros.max_bound()
-        ));
-        out.push_str(&format!(
-            "fresh_solves={} coalesced={} busy_rejections={} expired_dropped={}\n",
-            self.fresh_solves, self.coalesced, self.busy_rejections, self.expired_dropped
-        ));
-        out.push_str(&format!(
-            "warm_hits={} unknown_base={}\n",
-            self.warm_hits, self.unknown_base
-        ));
-        out.push_str(&format!(
-            "sessions_opened={} sessions_closed={} sessions_evicted={} \
-             revisions={} revision_warm_hits={} unknown_session={}\n",
-            self.sessions_opened,
-            self.sessions_closed,
-            self.sessions_evicted,
-            self.revisions,
-            self.revision_warm_hits,
-            self.unknown_session
-        ));
-        if self.revision_latency.count() > 0 {
-            out.push_str(&format!(
-                "revision_latency: n={} mean={:.1}us p50={}us p99={}us\n",
-                self.revision_latency.count(),
-                self.revision_latency.mean(),
-                self.revision_latency.p50(),
-                self.revision_latency.p99()
-            ));
-        }
-        if self.queue_capacity > 0 {
-            out.push_str(&format!(
-                "queue_depth={}/{} depth_p99={}\n",
-                self.queue_depth,
-                self.queue_capacity,
-                self.queue_depth_samples.p99()
-            ));
-        }
-        for (stage, hist) in &self.stages {
+        let mut out = Counter::ALL
+            .iter()
+            .map(|&counter| format!("{}={}", counter.name(), self.get(counter)))
+            .collect::<Vec<_>>()
+            .join(" ");
+        out.push('\n');
+        let named = [
+            ("latency_us", &self.latency_micros),
+            ("lp_us", &self.lp_micros),
+            ("queue_depth_samples", &self.queue_depth_samples),
+            ("revision_latency_us", &self.revision_latency),
+        ]
+        .map(|(label, hist)| (label.to_string(), hist));
+        let stages = self
+            .stages
+            .iter()
+            .map(|(stage, hist)| (format!("stage {}_us", stage.name()), hist));
+        for (label, hist) in named.into_iter().chain(stages) {
             if hist.count() > 0 {
                 out.push_str(&format!(
-                    "  stage {}: n={} mean={:.1}us p50={}us p99={}us\n",
-                    stage.name(),
+                    "  {label}: n={} mean={:.1} p50={} p99={} max={}\n",
                     hist.count(),
                     hist.mean(),
                     hist.p50(),
-                    hist.p99()
+                    hist.p99(),
+                    hist.max_bound()
                 ));
             }
         }
@@ -509,89 +366,98 @@ mod tests {
 
     #[test]
     fn record_accumulates_counts_and_latency() {
-        let m = ServiceMetrics::new();
+        let m = ServiceMetrics::new(&["suu-c", "suu-i-obl", "suu-c"]);
         m.record(Some("suu-c"), true, 100);
         m.record(Some("suu-c"), true, 300);
         m.record(None, false, 50);
+        m.record(Some("unregistered"), true, 150);
         let snap = m.snapshot();
-        assert_eq!(snap.requests, 3);
-        assert_eq!(snap.errors, 1);
-        assert_eq!(snap.latency_micros.count(), 3);
+        assert_eq!(snap.get(Counter::Requests), 4);
+        assert_eq!(snap.get(Counter::Errors), 1);
+        assert_eq!(snap.latency_micros.count(), 4);
         assert!((snap.latency_micros.mean() - 150.0).abs() < 1e-9);
-        assert_eq!(snap.per_solver, vec![("suu-c".to_string(), 2)]);
-        assert!(snap.render().contains("requests=3"));
-        assert!(snap.render().contains("latency_p50="));
-        assert!(snap.render().contains("latency_p99="));
+        assert_eq!(snap.per_solver, vec![("suu-c", 2)], "non-zero slots only");
+        let text = snap.render();
+        assert!(text.contains("requests=4 errors=1"), "render: {text}");
+        assert!(text.contains("latency_us: n=4"), "render: {text}");
+        assert!(text.contains("  suu-c: 2\n"), "render: {text}");
     }
 
     #[test]
     fn record_lp_accumulates_pivots_and_wall_clock() {
-        let m = ServiceMetrics::new();
+        let m = ServiceMetrics::new(&[]);
         m.record_lp(40, 900);
         m.record_lp(60, 1_100);
         let snap = m.snapshot();
-        assert_eq!(snap.lp_pivots, 100);
+        assert_eq!(snap.get(Counter::LpPivots), 100);
         assert_eq!(snap.lp_micros.count(), 2);
         assert!((snap.lp_micros.mean() - 1_000.0).abs() < 1e-9);
         let text = snap.render();
         assert!(text.contains("lp_pivots=100"), "render: {text}");
-        assert!(text.contains("lp_solves=2"), "render: {text}");
+        assert!(text.contains("lp_us: n=2"), "render: {text}");
     }
 
     #[test]
     fn solve_flow_counters_accumulate_independently() {
-        let m = ServiceMetrics::new();
-        m.record_fresh_solve();
-        m.record_fresh_solve();
-        m.record_coalesced();
-        m.record_busy();
-        m.record_busy();
-        m.record_busy();
-        m.record_expired_dropped();
-        m.record_warm_hit();
-        m.record_warm_hit();
-        m.record_unknown_base();
-        assert_eq!(m.fresh_solves(), 2);
-        assert_eq!(m.coalesced(), 1);
-        assert_eq!(m.busy_rejections(), 3);
-        assert_eq!(m.expired_dropped(), 1);
-        assert_eq!(m.warm_hits(), 2);
-        assert_eq!(m.unknown_base(), 1);
+        let m = ServiceMetrics::new(&[]);
+        let adds = [
+            (Counter::FreshSolves, 2),
+            (Counter::Coalesced, 1),
+            (Counter::BusyRejections, 3),
+            (Counter::ExpiredDropped, 1),
+            (Counter::WarmHits, 2),
+            (Counter::UnknownBase, 1),
+        ];
+        for (counter, n) in adds {
+            for _ in 0..n {
+                m.add(counter, 1);
+            }
+        }
         let snap = m.snapshot();
-        assert_eq!(snap.fresh_solves, 2);
-        assert_eq!(snap.coalesced, 1);
-        assert_eq!(snap.busy_rejections, 3);
-        assert_eq!(snap.expired_dropped, 1);
-        assert_eq!(snap.warm_hits, 2);
-        assert_eq!(snap.unknown_base, 1);
+        for (counter, n) in adds {
+            assert_eq!(m.get(counter), n, "{}", counter.name());
+            assert_eq!(snap.get(counter), n, "{}", counter.name());
+        }
+        assert_eq!(snap.get(Counter::Requests), 0, "untouched counters stay 0");
         let text = snap.render();
-        assert!(text.contains("fresh_solves=2"), "render: {text}");
-        assert!(text.contains("busy_rejections=3"), "render: {text}");
-        assert!(text.contains("expired_dropped=1"), "render: {text}");
-        assert!(text.contains("warm_hits=2"), "render: {text}");
-        assert!(text.contains("unknown_base=1"), "render: {text}");
+        for expected in [
+            "fresh_solves=2",
+            "busy_rejections=3",
+            "expired_dropped=1",
+            "warm_hits=2",
+            "unknown_base=1",
+        ] {
+            assert!(text.contains(expected), "render: {text}");
+        }
     }
 
     #[test]
     fn stage_histograms_and_queue_gauges_accumulate() {
-        let m = ServiceMetrics::new();
+        let m = ServiceMetrics::new(&[]);
         m.record_stage(Stage::Queue, 40);
         m.record_stage(Stage::Queue, 60);
         m.record_stage(Stage::Solve, 900);
         m.record_queue_depth(3);
         m.record_queue_depth(7);
-        m.set_queue_capacity(256);
+        m.set(Counter::QueueCapacity, 256);
         let snap = m.snapshot();
         assert_eq!(snap.stage(Stage::Queue).count(), 2);
         assert_eq!(snap.stage(Stage::Queue).sum, 100);
         assert_eq!(snap.stage(Stage::Solve).count(), 1);
         assert_eq!(snap.stage(Stage::Render).count(), 0);
-        assert_eq!(snap.queue_depth, 7);
-        assert_eq!(snap.queue_capacity, 256);
+        assert_eq!(
+            snap.get(Counter::QueueDepth),
+            7,
+            "gauges keep the last value"
+        );
+        assert_eq!(snap.get(Counter::QueueCapacity), 256);
         assert_eq!(snap.queue_depth_samples.count(), 2);
         let text = snap.render();
-        assert!(text.contains("queue_depth=7/256"), "render: {text}");
-        assert!(text.contains("stage queue: n=2"), "render: {text}");
+        assert!(
+            text.contains("queue_depth=7 queue_capacity=256"),
+            "render: {text}"
+        );
+        assert!(text.contains("stage queue_us: n=2"), "render: {text}");
         assert!(
             !text.contains("stage render"),
             "empty stages are not rendered: {text}"
@@ -600,27 +466,22 @@ mod tests {
 
     #[test]
     fn session_counters_and_revision_histogram_accumulate() {
-        let m = ServiceMetrics::new();
-        m.record_session_opened();
-        m.record_session_opened();
-        m.record_session_closed();
-        m.record_sessions_evicted(0); // no-op
-        m.record_sessions_evicted(1);
+        let m = ServiceMetrics::new(&[]);
+        m.add(Counter::SessionsOpened, 2);
+        m.add(Counter::SessionsClosed, 1);
+        m.add(Counter::SessionsEvicted, 0);
+        m.add(Counter::SessionsEvicted, 1);
         m.record_revision(120, true);
         m.record_revision(80, false);
         m.record_revision(200, true);
-        m.record_unknown_session();
-        assert_eq!(m.sessions_opened(), 2);
-        assert_eq!(m.sessions_closed(), 1);
-        assert_eq!(m.sessions_evicted(), 1);
-        assert_eq!(m.revisions(), 3);
-        assert_eq!(m.revision_warm_hits(), 2);
-        assert_eq!(m.unknown_session(), 1);
+        m.add(Counter::UnknownSession, 1);
         let snap = m.snapshot();
-        assert_eq!(snap.sessions_opened, 2);
-        assert_eq!(snap.revisions, 3);
-        assert_eq!(snap.revision_warm_hits, 2);
-        assert_eq!(snap.unknown_session, 1);
+        assert_eq!(snap.get(Counter::SessionsOpened), 2);
+        assert_eq!(snap.get(Counter::SessionsClosed), 1);
+        assert_eq!(snap.get(Counter::SessionsEvicted), 1);
+        assert_eq!(snap.get(Counter::Revisions), 3);
+        assert_eq!(snap.get(Counter::RevisionWarmHits), 2);
+        assert_eq!(snap.get(Counter::UnknownSession), 1);
         assert_eq!(snap.revision_latency.count(), 3);
         let text = snap.render();
         assert!(text.contains("sessions_opened=2"), "render: {text}");
@@ -628,12 +489,23 @@ mod tests {
         assert!(text.contains("revisions=3"), "render: {text}");
         assert!(text.contains("revision_warm_hits=2"), "render: {text}");
         assert!(text.contains("unknown_session=1"), "render: {text}");
-        assert!(text.contains("revision_latency: n=3"), "render: {text}");
+        assert!(text.contains("revision_latency_us: n=3"), "render: {text}");
+    }
+
+    #[test]
+    fn counter_table_is_dense_and_uniquely_named() {
+        for (position, counter) in Counter::ALL.iter().enumerate() {
+            assert_eq!(counter.index(), position, "{}", counter.name());
+        }
+        let mut names: Vec<_> = Counter::ALL.iter().map(|c| c.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Counter::ALL.len());
     }
 
     #[test]
     fn uptime_is_monotone() {
-        let m = ServiceMetrics::new();
+        let m = ServiceMetrics::new(&[]);
         let first = m.uptime_micros();
         let second = m.uptime_micros();
         assert!(second >= first);
@@ -643,7 +515,7 @@ mod tests {
     #[test]
     fn concurrent_recording_loses_nothing() {
         use std::sync::Arc;
-        let m = Arc::new(ServiceMetrics::new());
+        let m = Arc::new(ServiceMetrics::new(&["s"]));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let m = Arc::clone(&m);
@@ -659,9 +531,9 @@ mod tests {
             h.join().unwrap();
         }
         let snap = m.snapshot();
-        assert_eq!(snap.requests, 400);
+        assert_eq!(snap.get(Counter::Requests), 400);
         assert_eq!(snap.latency_micros.count(), 400);
         assert_eq!(snap.stage(Stage::Flush).count(), 400);
-        assert_eq!(snap.per_solver, vec![("s".to_string(), 400)]);
+        assert_eq!(snap.per_solver, vec![("s", 400)]);
     }
 }

@@ -27,9 +27,17 @@
 //! [`sum`]: HistogramSnapshot::sum
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use suu_sim::bucket_quantile_index;
+
+/// Whole microseconds since `start`, saturating at `u64::MAX` — the unit
+/// every service latency histogram and `*_us` field records.
+#[must_use]
+pub(crate) fn elapsed_us(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
 
 /// Number of histogram buckets (see the module docs for the scheme).
 pub const NUM_BUCKETS: usize = 64;

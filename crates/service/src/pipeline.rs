@@ -32,7 +32,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::obs::Stage;
+use crate::metrics::Counter;
+use crate::obs::{elapsed_us, Stage};
 use crate::protocol::{error_kind, scan_deadline, scan_request_id, scan_u64_field, Response};
 use crate::service::{SchedulerService, StageContext};
 
@@ -163,10 +164,8 @@ impl ResponseSink {
         if writer.out.flush().is_err() {
             writer.failed = true;
         }
-        self.last_flush_us.store(
-            u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
+        self.last_flush_us
+            .store(elapsed_us(start), Ordering::Relaxed);
     }
 
     /// Microseconds the most recent flush of this connection took (0 before
@@ -488,7 +487,7 @@ fn solver_loop(shared: &PoolShared, service: &SchedulerService) {
         // of deadline-aware admission. Counted like `busy` (answered but not
         // executed) under the `expired_dropped` metric.
         if job.expired() {
-            service.metrics().record_expired_dropped();
+            service.metrics().add(Counter::ExpiredDropped, 1);
             let failure = Response::failure_with(
                 job.id_hint(),
                 error_kind::DEADLINE_EXCEEDED,
@@ -499,7 +498,7 @@ fn solver_loop(shared: &PoolShared, service: &SchedulerService) {
             release_session(shared, session);
             continue;
         }
-        let queue_us = u64::try_from(job.accepted_at.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let queue_us = elapsed_us(job.accepted_at);
         service.metrics().record_stage(Stage::Queue, queue_us);
         let ctx = StageContext {
             accepted_at: job.accepted_at,
@@ -518,10 +517,9 @@ fn solver_loop(shared: &PoolShared, service: &SchedulerService) {
         job.respond_line(&line);
         // `respond_line` covers the write and (when this response closed the
         // burst) the batched flush.
-        service.metrics().record_stage(
-            Stage::Flush,
-            u64::try_from(flush_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-        );
+        service
+            .metrics()
+            .record_stage(Stage::Flush, elapsed_us(flush_start));
         // The response is written: the session's next queued event (if any)
         // becomes eligible only now, preserving per-session revision order.
         release_session(shared, session);

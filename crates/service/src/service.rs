@@ -11,9 +11,9 @@ use suu_algorithms::LpBudget;
 use suu_core::SuuInstance;
 use suu_sim::OnlineStats;
 
-use crate::cache::{CacheConfig, CachedSolve, Lookup, ScheduleCache};
-use crate::metrics::ServiceMetrics;
-use crate::obs::Stage;
+use crate::cache::{CacheConfig, CachedSolve, Lookup, ScheduleCache, ShardStats};
+use crate::metrics::{Counter, ServiceMetrics};
+use crate::obs::{elapsed_us, Stage};
 use crate::pipeline::{Job, PoolHandle, ResponseSink};
 use crate::protocol::{
     digest_from_wire, error_kind, scan_request_id, BudgetReport, CachePolicy, Detail, Request,
@@ -126,6 +126,16 @@ impl StageContext {
 /// Serialises a protocol [`Response`] to its wire line (no trailing `\n`).
 fn render_response(response: &Response) -> String {
     serde_json::to_string(response).expect("responses always serialise")
+}
+
+/// A JSON object with the given keys, in order.
+fn object(fields: Vec<(&str, Value)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
 }
 
 /// The `unknown_session` failure shared by `session_event` and
@@ -283,9 +293,9 @@ impl SchedulerService {
     #[must_use]
     pub fn with_registry(config: ServiceConfig, registry: SolverRegistry) -> Self {
         Self {
+            metrics: ServiceMetrics::new(&registry.names()),
             registry,
             cache: ScheduleCache::new(&config.cache),
-            metrics: ServiceMetrics::new(),
             sessions: SessionTable::new(config.max_sessions, config.session_idle_ttl_ms),
             config,
             line_cache: Mutex::new(LineCache::default()),
@@ -372,7 +382,7 @@ impl SchedulerService {
             }
             Err(failure) => failure,
         };
-        let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let micros = elapsed_us(start);
         response.service_micros = micros;
         self.metrics
             .record(response.solver.as_deref(), response.ok, micros);
@@ -535,7 +545,7 @@ impl SchedulerService {
             match self.cache.lookup_base(digest) {
                 Some(parent) => parent,
                 None => {
-                    self.metrics.record_unknown_base();
+                    self.metrics.add(Counter::UnknownBase, 1);
                     return Err(Response::failure_with(
                         request.id,
                         error_kind::UNKNOWN_BASE,
@@ -619,10 +629,8 @@ impl SchedulerService {
         let parse_start = Instant::now();
         match self.parse_line_cached(line) {
             Ok((id, request)) => {
-                self.metrics.record_stage(
-                    Stage::Parse,
-                    u64::try_from(parse_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-                );
+                self.metrics
+                    .record_stage(Stage::Parse, elapsed_us(parse_start));
                 self.rendered_with_id(&request, id, ctx)
             }
             Err(err) => {
@@ -643,7 +651,7 @@ impl SchedulerService {
     /// after `started`: a structured `solver_error`, recorded like any
     /// failed request so the counters and stage histograms stay consistent.
     pub(crate) fn panicked_response(&self, id: u64, started: Instant) -> String {
-        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let micros = elapsed_us(started);
         self.metrics.record(None, false, micros);
         self.metrics.record_stage(Stage::Solve, micros);
         let mut failure = Response::failure_with(
@@ -654,10 +662,8 @@ impl SchedulerService {
         failure.service_micros = micros;
         let render_start = Instant::now();
         let line = render_response(&failure);
-        self.metrics.record_stage(
-            Stage::Render,
-            u64::try_from(render_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-        );
+        self.metrics
+            .record_stage(Stage::Render, elapsed_us(render_start));
         line
     }
 
@@ -677,15 +683,13 @@ impl SchedulerService {
             let response = self.estimated_response(&own, ctx);
             let render_start = Instant::now();
             let line = render_response(&response);
-            self.metrics.record_stage(
-                Stage::Render,
-                u64::try_from(render_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-            );
+            self.metrics
+                .record_stage(Stage::Render, elapsed_us(render_start));
             return line;
         }
         match self.solve_flow(request, &directives) {
             Ok(outcome) => {
-                let solve_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+                let solve_us = elapsed_us(start);
                 self.metrics.record_stage(Stage::Solve, solve_us);
                 let render_start = Instant::now();
                 let body = match directives.detail {
@@ -704,8 +708,7 @@ impl SchedulerService {
                         &serde_json::to_string(budget).expect("budget reports serialise"),
                     );
                 }
-                let render_us =
-                    u64::try_from(render_start.elapsed().as_micros()).unwrap_or(u64::MAX);
+                let render_us = elapsed_us(render_start);
                 self.metrics.record_stage(Stage::Render, render_us);
                 if options.trace {
                     let trace = TraceReport {
@@ -721,7 +724,7 @@ impl SchedulerService {
                     extra
                         .push_str(&serde_json::to_string(&trace).expect("trace reports serialise"));
                 }
-                let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+                let micros = elapsed_us(start);
                 self.metrics
                     .record(Some(&outcome.solved.solver), true, micros);
                 let cache_hit = outcome.cache.as_cache_hit();
@@ -733,17 +736,14 @@ impl SchedulerService {
             }
             Err(mut failure) => {
                 failure.id = id;
-                failure.service_micros =
-                    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+                failure.service_micros = elapsed_us(start);
                 self.metrics.record(None, false, failure.service_micros);
                 self.metrics
                     .record_stage(Stage::Solve, failure.service_micros);
                 let render_start = Instant::now();
                 let line = render_response(&failure);
-                self.metrics.record_stage(
-                    Stage::Render,
-                    u64::try_from(render_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-                );
+                self.metrics
+                    .record_stage(Stage::Render, elapsed_us(render_start));
                 line
             }
         }
@@ -827,7 +827,7 @@ impl SchedulerService {
                 result.map(|solved| (solved, CacheOutcome::Miss))
             }
             Lookup::Follow(follower) => {
-                self.metrics.record_coalesced();
+                self.metrics.add(Counter::Coalesced, 1);
                 // Followers inherit the leader's outcome — including a
                 // budget exhaustion under the *leader's* limits. Budgets
                 // don't fork the store key (a success is bit-identical
@@ -866,9 +866,9 @@ impl SchedulerService {
         let donor = self.cache.lookup_basis(structural, solver.name());
         match solver.solve_warm(instance, limits, donor) {
             Ok(mut output) => {
-                self.metrics.record_fresh_solve();
+                self.metrics.add(Counter::FreshSolves, 1);
                 if output.lp_warm {
-                    self.metrics.record_warm_hit();
+                    self.metrics.add(Counter::WarmHits, 1);
                 }
                 if let (Some(pivots), Some(micros)) = (output.lp_pivots, output.lp_micros) {
                     self.metrics.record_lp(pivots, micros);
@@ -979,7 +979,7 @@ impl SchedulerService {
     /// Idle-TTL housekeeping, run opportunistically on every session verb.
     fn sweep_sessions(&self) {
         let evicted = self.sessions.sweep_idle();
-        self.metrics.record_sessions_evicted(evicted);
+        self.metrics.add(Counter::SessionsEvicted, evicted);
     }
 
     /// Evicts every session owned by connection token `conn` — called by the
@@ -987,7 +987,7 @@ impl SchedulerService {
     /// with their client instead of leaking until the idle TTL.
     pub fn evict_connection_sessions(&self, conn: u64) {
         let evicted = self.sessions.evict_connection(conn);
-        self.metrics.record_sessions_evicted(evicted);
+        self.metrics.add(Counter::SessionsEvicted, evicted);
     }
 
     /// The session revision solve: forced `SUU-C` (the warm-capable solver
@@ -1064,8 +1064,7 @@ impl SchedulerService {
             Ok(solved) => solved,
             Err(failure) => return render_response(&failure),
         };
-        let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.metrics.record_revision(micros, solved.lp_warm);
+        let micros = elapsed_us(start);
         let unfinished = instance.num_jobs() as u64;
         let machines = instance.num_machines() as u64;
         let Some(session) = self.sessions.open(conn, SessionState::new(instance)) else {
@@ -1078,7 +1077,9 @@ impl SchedulerService {
                 ),
             ));
         };
-        self.metrics.record_session_opened();
+        // Counted only once admitted: a `busy` open served no revision.
+        self.metrics.record_revision(micros, solved.lp_warm);
+        self.metrics.add(Counter::SessionsOpened, 1);
         Value::Object(vec![
             ("id".to_string(), Value::Number(id as f64)),
             ("ok".to_string(), Value::Bool(true)),
@@ -1114,7 +1115,7 @@ impl SchedulerService {
             }
         };
         let Some(entry) = self.sessions.get(event.session) else {
-            self.metrics.record_unknown_session();
+            self.metrics.add(Counter::UnknownSession, 1);
             return render_response(&unknown_session_failure(id, event.session));
         };
         // Events within a session serialise on the state lock; the pipelined
@@ -1204,8 +1205,8 @@ impl SchedulerService {
             Ok(solved) => solved,
             Err(failure) => return render_response(&failure),
         };
-        let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.metrics.record_revision(micros, solved.lp_warm);
+        self.metrics
+            .record_revision(elapsed_us(start), solved.lp_warm);
         state.completed += newly_done;
         state.current = candidate;
         state.job_map = next_job_map;
@@ -1237,10 +1238,10 @@ impl SchedulerService {
             ));
         };
         let Some(entry) = self.sessions.close(session) else {
-            self.metrics.record_unknown_session();
+            self.metrics.add(Counter::UnknownSession, 1);
             return render_response(&unknown_session_failure(id, session));
         };
-        self.metrics.record_session_closed();
+        self.metrics.add(Counter::SessionsClosed, 1);
         let state = entry.lock();
         Value::Object(vec![
             ("id".to_string(), Value::Number(id as f64)),
@@ -1279,10 +1280,10 @@ impl SchedulerService {
     /// Renders the `stats` verb response: `{"id": N, "ok": true, "stats":
     /// {...}}` with the full metrics snapshot (see the protocol docs).
     fn stats_response_line(&self, id: u64) -> String {
-        Value::Object(vec![
-            ("id".to_string(), id.to_value()),
-            ("ok".to_string(), true.to_value()),
-            ("stats".to_string(), self.stats_value()),
+        object(vec![
+            ("id", id.to_value()),
+            ("ok", true.to_value()),
+            ("stats", self.stats_value()),
         ])
         .render()
     }
@@ -1293,111 +1294,81 @@ impl SchedulerService {
     /// counters and the number of pending solves (`flight_in_flight`).
     fn stats_value(&self) -> Value {
         let snap = self.metrics.snapshot();
+        let count = |counter| snap.get(counter).to_value();
         let shards = self.cache.shard_stats();
-        let cache_entries: u64 = shards.iter().map(|s| s.entries).sum();
-        let stages = Value::Object(
-            snap.stages
-                .iter()
-                .map(|(stage, hist)| (stage.name().to_string(), hist.to_value()))
-                .collect(),
-        );
-        let per_solver = Value::Object(
-            snap.per_solver
-                .iter()
-                .map(|(name, count)| (name.clone(), count.to_value()))
-                .collect(),
-        );
-        let shard_values = Value::Array(
-            shards
-                .iter()
-                .map(|s| {
-                    Value::Object(vec![
-                        ("entries".to_string(), s.entries.to_value()),
-                        ("hits".to_string(), s.hits.to_value()),
-                        ("misses".to_string(), s.misses.to_value()),
-                        ("evictions".to_string(), s.evictions.to_value()),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("uptime_us".to_string(), snap.uptime_micros.to_value()),
-            ("requests".to_string(), snap.requests.to_value()),
-            ("errors".to_string(), snap.errors.to_value()),
+        let shard_total = |field: fn(&ShardStats) -> u64| shards.iter().map(field).sum::<u64>();
+        let stages = snap
+            .stages
+            .iter()
+            .map(|(stage, hist)| (stage.name(), hist.to_value()))
+            .collect();
+        let per_solver = snap
+            .per_solver
+            .iter()
+            .map(|&(name, n)| (name, n.to_value()))
+            .collect();
+        let shard_values = shards
+            .iter()
+            .map(|s| {
+                object(vec![
+                    ("entries", s.entries.to_value()),
+                    ("hits", s.hits.to_value()),
+                    ("misses", s.misses.to_value()),
+                    ("evictions", s.evictions.to_value()),
+                ])
+            })
+            .collect();
+        object(vec![
+            ("uptime_us", snap.uptime_micros.to_value()),
+            ("requests", count(Counter::Requests)),
+            ("errors", count(Counter::Errors)),
+            ("busy_rejections", count(Counter::BusyRejections)),
+            ("expired_dropped", count(Counter::ExpiredDropped)),
+            ("fresh_solves", count(Counter::FreshSolves)),
+            ("warm_hits", count(Counter::WarmHits)),
+            ("unknown_base", count(Counter::UnknownBase)),
+            ("coalesced", count(Counter::Coalesced)),
+            ("latency_us", snap.latency_micros.to_value()),
             (
-                "busy_rejections".to_string(),
-                snap.busy_rejections.to_value(),
-            ),
-            (
-                "expired_dropped".to_string(),
-                snap.expired_dropped.to_value(),
-            ),
-            ("fresh_solves".to_string(), snap.fresh_solves.to_value()),
-            ("warm_hits".to_string(), snap.warm_hits.to_value()),
-            ("unknown_base".to_string(), snap.unknown_base.to_value()),
-            ("coalesced".to_string(), snap.coalesced.to_value()),
-            ("latency_us".to_string(), snap.latency_micros.to_value()),
-            (
-                "lp".to_string(),
-                Value::Object(vec![
-                    ("pivots".to_string(), snap.lp_pivots.to_value()),
-                    ("solves".to_string(), snap.lp_micros.count().to_value()),
-                    ("micros".to_string(), snap.lp_micros.to_value()),
+                "lp",
+                object(vec![
+                    ("pivots", count(Counter::LpPivots)),
+                    ("solves", snap.lp_micros.count().to_value()),
+                    ("micros", snap.lp_micros.to_value()),
                 ]),
             ),
-            ("stages".to_string(), stages),
+            ("stages", object(stages)),
             (
-                "queue".to_string(),
-                Value::Object(vec![
-                    ("depth".to_string(), snap.queue_depth.to_value()),
-                    ("capacity".to_string(), snap.queue_capacity.to_value()),
-                    (
-                        "depth_samples".to_string(),
-                        snap.queue_depth_samples.to_value(),
-                    ),
+                "queue",
+                object(vec![
+                    ("depth", count(Counter::QueueDepth)),
+                    ("capacity", count(Counter::QueueCapacity)),
+                    ("depth_samples", snap.queue_depth_samples.to_value()),
                 ]),
             ),
-            ("per_solver".to_string(), per_solver),
+            ("per_solver", object(per_solver)),
             (
-                "cache".to_string(),
-                Value::Object(vec![
-                    ("entries".to_string(), cache_entries.to_value()),
-                    (
-                        "hits".to_string(),
-                        shards.iter().map(|s| s.hits).sum::<u64>().to_value(),
-                    ),
-                    (
-                        "misses".to_string(),
-                        shards.iter().map(|s| s.misses).sum::<u64>().to_value(),
-                    ),
-                    (
-                        "evictions".to_string(),
-                        shards.iter().map(|s| s.evictions).sum::<u64>().to_value(),
-                    ),
-                    ("shards".to_string(), shard_values),
+                "cache",
+                object(vec![
+                    ("entries", shard_total(|s| s.entries).to_value()),
+                    ("hits", shard_total(|s| s.hits).to_value()),
+                    ("misses", shard_total(|s| s.misses).to_value()),
+                    ("evictions", shard_total(|s| s.evictions).to_value()),
+                    ("shards", Value::Array(shard_values)),
                 ]),
             ),
+            ("flight_in_flight", self.cache.in_flight().to_value()),
             (
-                "flight_in_flight".to_string(),
-                self.cache.in_flight().to_value(),
-            ),
-            (
-                "sessions".to_string(),
-                Value::Object(vec![
-                    ("open".to_string(), (self.sessions.len() as u64).to_value()),
-                    ("opened".to_string(), snap.sessions_opened.to_value()),
-                    ("closed".to_string(), snap.sessions_closed.to_value()),
-                    ("evicted".to_string(), snap.sessions_evicted.to_value()),
-                    ("revisions".to_string(), snap.revisions.to_value()),
-                    (
-                        "revision_warm_hits".to_string(),
-                        snap.revision_warm_hits.to_value(),
-                    ),
-                    ("unknown".to_string(), snap.unknown_session.to_value()),
-                    (
-                        "revision_latency_us".to_string(),
-                        snap.revision_latency.to_value(),
-                    ),
+                "sessions",
+                object(vec![
+                    ("open", (self.sessions.len() as u64).to_value()),
+                    ("opened", count(Counter::SessionsOpened)),
+                    ("closed", count(Counter::SessionsClosed)),
+                    ("evicted", count(Counter::SessionsEvicted)),
+                    ("revisions", count(Counter::Revisions)),
+                    ("revision_warm_hits", count(Counter::RevisionWarmHits)),
+                    ("unknown", count(Counter::UnknownSession)),
+                    ("revision_latency_us", snap.revision_latency.to_value()),
                 ]),
             ),
         ])
@@ -1429,7 +1400,8 @@ impl SchedulerService {
     ) -> std::io::Result<()> {
         let sink = ResponseSink::new(output);
         let conn = sink.conn();
-        self.metrics.set_queue_capacity(pool.capacity() as u64);
+        self.metrics
+            .set(Counter::QueueCapacity, pool.capacity() as u64);
         loop {
             if sink.failed() {
                 sink.wait_drained();
@@ -1465,7 +1437,7 @@ impl SchedulerService {
                         Err(job) => {
                             let id = job.id_hint();
                             drop(job); // releases the in-flight slot
-                            self.metrics.record_busy();
+                            self.metrics.add(Counter::BusyRejections, 1);
                             sink.write_response_now(&Response::busy(id));
                         }
                     }
@@ -1640,7 +1612,7 @@ mod tests {
         assert!(second.cache_hit);
         assert_eq!(second.lp_pivots, Some(pivots));
         let snap = svc.metrics().snapshot();
-        assert_eq!(snap.lp_pivots, pivots as u64);
+        assert_eq!(snap.get(Counter::LpPivots), pivots as u64);
         assert_eq!(snap.lp_micros.count(), 1);
     }
 
@@ -1782,7 +1754,7 @@ mod tests {
         assert!(responses[0].ok && !responses[0].cache_hit);
         assert!(!responses[1].ok);
         assert!(responses[2].ok && responses[2].cache_hit);
-        assert_eq!(svc.metrics().snapshot().requests, 2);
+        assert_eq!(svc.metrics().get(Counter::Requests), 2);
     }
 
     fn chain_instance(seed: u64) -> suu_core::SuuInstance {
@@ -1840,7 +1812,7 @@ mod tests {
             missing.error_kind.as_deref(),
             Some(error_kind::UNKNOWN_BASE)
         );
-        assert_eq!(svc.metrics().snapshot().unknown_base, 1);
+        assert_eq!(svc.metrics().get(Counter::UnknownBase), 1);
 
         let mut malformed = Request::from_delta(8, 0, InstanceDelta::default());
         malformed.base_digest = Some("NOT-A-DIGEST".to_string());
@@ -1901,7 +1873,7 @@ mod tests {
             warm.trace.as_ref().unwrap().warm,
             "structural repeat should warm-start"
         );
-        assert_eq!(svc.metrics().snapshot().warm_hits, 1);
+        assert_eq!(svc.metrics().get(Counter::WarmHits), 1);
 
         // A fresh service holds no donor basis, so the same instance solves
         // cold there.
@@ -1909,7 +1881,7 @@ mod tests {
         let cold_again = call(&cold_svc, &second);
         assert!(cold_again.ok);
         assert!(!cold_again.trace.as_ref().unwrap().warm);
-        assert_eq!(cold_svc.metrics().snapshot().warm_hits, 0);
+        assert_eq!(cold_svc.metrics().get(Counter::WarmHits), 0);
 
         // A warm start may land on a different optimal vertex than the cold
         // pivot path (degenerate optima), so the schedules need not be

@@ -40,6 +40,7 @@ use serde::{Deserialize, Serialize, Value};
 use suu_core::{Assignment, JobId, JobSet, MachineId, ObliviousSchedule, SuuInstance};
 use suu_sim::execute_step;
 
+use crate::obs::elapsed_us;
 use crate::protocol::Request;
 
 /// The only solver sessions dispatch to: `SUU-C` covers independent and
@@ -146,7 +147,7 @@ impl SessionTable {
     }
 
     fn now_us(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
+        elapsed_us(self.start)
     }
 
     /// Open sessions right now.
@@ -558,7 +559,7 @@ pub fn drive_session(
             let line = event_line(*next_id, session, &event);
             let sent_at = Instant::now();
             let reply = send(&line)?;
-            let micros = u64::try_from(sent_at.elapsed().as_micros()).unwrap_or(u64::MAX);
+            let micros = elapsed_us(sent_at);
             report.events_sent += 1;
             let value = serde_json::parse(&reply).ok()?;
             if value.get("ok") != Some(&Value::Bool(true)) {

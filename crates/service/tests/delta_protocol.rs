@@ -28,8 +28,8 @@ use std::sync::Arc;
 use common::call;
 use suu_core::{InstanceBuilder, InstanceDelta, SuuInstance};
 use suu_service::{
-    digest_to_wire, error_kind, spawn_tcp, EngineChoice, Request, Response, SchedulerService,
-    ServiceConfig, ServiceHandle, SolveOptions, TcpServerConfig,
+    digest_to_wire, error_kind, spawn_tcp, Counter, EngineChoice, Request, Response,
+    SchedulerService, ServiceConfig, ServiceHandle, SolveOptions, TcpServerConfig,
 };
 use suu_workloads::{tenant_drift_stream, uniform_matrix, DriftConfig};
 
@@ -342,11 +342,15 @@ fn tenant_drift_deltas_warm_start_in_a_twentieth_of_the_cold_pivots() {
 
     let metrics = service.metrics().snapshot();
     assert!(deltas >= 100, "the stream is mostly deltas: {deltas}");
-    assert_eq!(metrics.unknown_base, 0, "every base stays cached");
+    assert_eq!(
+        metrics.get(Counter::UnknownBase),
+        0,
+        "every base stays cached"
+    );
     assert!(
-        metrics.warm_hits * 10 >= deltas * 9,
+        metrics.get(Counter::WarmHits) * 10 >= deltas * 9,
         "only {} of {deltas} deltas warm-started",
-        metrics.warm_hits
+        metrics.get(Counter::WarmHits)
     );
     assert!(
         cold_pivots >= 20 * warm_pivots,

@@ -10,7 +10,7 @@ use common::{call, SharedBuf};
 use suu_core::InstanceBuilder;
 use suu_service::pipeline::{Job, PipelineConfig, SolverPool};
 use suu_service::{
-    error_kind, CachePolicy, Detail, EngineChoice, Request, Response, SchedulerService,
+    error_kind, CachePolicy, Counter, Detail, EngineChoice, Request, Response, SchedulerService,
     ServiceConfig, SolveOptions, StageContext,
 };
 use suu_workloads::{random_directed_forest, uniform_matrix};
@@ -135,7 +135,7 @@ fn zero_time_budget_is_deadline_exceeded_without_solving() {
         resp.error_kind.as_deref(),
         Some(error_kind::DEADLINE_EXCEEDED)
     );
-    assert_eq!(svc.metrics().fresh_solves(), 0, "no solver ran");
+    assert_eq!(svc.metrics().get(Counter::FreshSolves), 0, "no solver ran");
 }
 
 #[test]
@@ -176,7 +176,11 @@ fn projection_does_not_fork_the_cache_key() {
     assert!(estimate_only.ok && estimate_only.cache_hit);
     assert!(estimate_only.schedule.is_none());
     assert!(estimate_only.lp_pivots.is_none());
-    assert_eq!(svc.metrics().fresh_solves(), 1, "exactly one solve total");
+    assert_eq!(
+        svc.metrics().get(Counter::FreshSolves),
+        1,
+        "exactly one solve total"
+    );
 }
 
 #[test]
@@ -211,7 +215,7 @@ fn projection_does_not_fork_the_single_flight_key() {
         handle.join().unwrap();
     }
     assert_eq!(
-        svc.metrics().fresh_solves(),
+        svc.metrics().get(Counter::FreshSolves),
         1,
         "identical instances modulo projection/budget must coalesce"
     );
@@ -297,7 +301,7 @@ fn cache_policies_bypass_and_refresh() {
     );
     assert!(bypass.ok && !bypass.cache_hit);
     assert_eq!(svc.cache().len(), 1, "bypass must not grow the cache");
-    assert_eq!(svc.metrics().fresh_solves(), 2);
+    assert_eq!(svc.metrics().get(Counter::FreshSolves), 2);
 
     // Refresh: fresh solve, result replaces the entry.
     let refresh = call(
@@ -312,12 +316,12 @@ fn cache_policies_bypass_and_refresh() {
     );
     assert!(refresh.ok && !refresh.cache_hit);
     assert_eq!(svc.cache().len(), 1);
-    assert_eq!(svc.metrics().fresh_solves(), 3);
+    assert_eq!(svc.metrics().get(Counter::FreshSolves), 3);
 
     // A later default request hits the refreshed entry.
     let hit = call(&svc, &chain_request(4));
     assert!(hit.cache_hit);
-    assert_eq!(svc.metrics().fresh_solves(), 3);
+    assert_eq!(svc.metrics().get(Counter::FreshSolves), 3);
 }
 
 #[test]
@@ -405,9 +409,9 @@ fn expired_jobs_are_dropped_at_dequeue_without_solver_work() {
         );
     }
     assert!(responses[2].ok);
-    assert_eq!(service.metrics().expired_dropped(), 2);
+    assert_eq!(service.metrics().get(Counter::ExpiredDropped), 2);
     assert_eq!(
-        service.metrics().fresh_solves(),
+        service.metrics().get(Counter::FreshSolves),
         1,
         "expired jobs burn zero solver time"
     );

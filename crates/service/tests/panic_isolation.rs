@@ -17,8 +17,9 @@ use common::SharedBuf;
 use suu_algorithms::{AlgorithmError, LpBudget};
 use suu_core::{InstanceBuilder, SuuInstance};
 use suu_service::{
-    error_kind, spawn_tcp, PipelineConfig, PoolHandle, Request, Response, SchedulerService,
-    ServiceConfig, SolveOutput, Solver, SolverPool, SolverRegistry, TcpServerConfig,
+    error_kind, spawn_tcp, Counter, PipelineConfig, PoolHandle, Request, Response,
+    SchedulerService, ServiceConfig, SolveOutput, Solver, SolverPool, SolverRegistry,
+    TcpServerConfig,
 };
 use suu_workloads::uniform_matrix;
 
@@ -131,9 +132,10 @@ fn check(responses: &[Response], service: &SchedulerService, pool: &PoolHandle, 
         "{transport}: no session leaked"
     );
     let snapshot = service.metrics().snapshot();
-    assert_eq!(snapshot.requests, 2, "{transport}");
+    assert_eq!(snapshot.get(Counter::Requests), 2, "{transport}");
     assert_eq!(
-        snapshot.errors, 1,
+        snapshot.get(Counter::Errors),
+        1,
         "{transport}: the panic counts as an error"
     );
 }

@@ -15,8 +15,9 @@ use serde::Value;
 use suu_algorithms::{AlgorithmError, LpBudget};
 use suu_core::{InstanceBuilder, SuuInstance};
 use suu_service::{
-    error_kind, spawn_tcp, PipelineConfig, Request, Response, SchedulerService, ServiceConfig,
-    SolveOptions, SolveOutput, Solver, SolverRegistry, StageContext, TcpServerConfig,
+    error_kind, spawn_tcp, Counter, PipelineConfig, Request, Response, SchedulerService,
+    ServiceConfig, SolveOptions, SolveOutput, Solver, SolverRegistry, StageContext,
+    TcpServerConfig,
 };
 use suu_workloads::uniform_matrix;
 
@@ -98,13 +99,18 @@ fn n_threads_on_k_instances_trigger_exactly_k_fresh_solves() {
     // served from a pending solve or the cache.
     let snapshot = service.metrics().snapshot();
     assert_eq!(
-        snapshot.fresh_solves, K as u64,
+        snapshot.get(Counter::FreshSolves),
+        K as u64,
         "duplicate concurrent requests must coalesce onto one solve \
          (coalesced={}, requests={})",
-        snapshot.coalesced, snapshot.requests
+        snapshot.get(Counter::Coalesced),
+        snapshot.get(Counter::Requests)
     );
-    assert_eq!(snapshot.errors, 0);
-    assert_eq!(snapshot.requests, (THREADS * ROUNDS * 2) as u64);
+    assert_eq!(snapshot.get(Counter::Errors), 0);
+    assert_eq!(
+        snapshot.get(Counter::Requests),
+        (THREADS * ROUNDS * 2) as u64
+    );
     assert_eq!(service.cache().len(), K);
     assert_counter_identities(&service);
 
@@ -170,7 +176,7 @@ fn admission_control_rejects_with_busy_and_connection_survives() {
     );
     assert!(busy > 0, "a 2-slot queue must reject part of a 64-burst");
     assert!(ok > 0, "accepted requests still complete");
-    assert_eq!(service.metrics().busy_rejections(), busy);
+    assert_eq!(service.metrics().get(Counter::BusyRejections), busy);
 
     // Same connection, after the storm: normal service.
     let calm = Request::from_instance(9_000, &chain_instance(0xCA1A));
@@ -190,8 +196,11 @@ fn admission_control_rejects_with_busy_and_connection_survives() {
 fn assert_counter_identities(service: &SchedulerService) {
     let snapshot = service.metrics().snapshot();
     let (hits, misses) = (service.cache().hits(), service.cache().misses());
-    assert_eq!(misses, snapshot.fresh_solves + snapshot.coalesced);
-    assert_eq!(hits + misses, snapshot.requests);
+    assert_eq!(
+        misses,
+        snapshot.get(Counter::FreshSolves) + snapshot.get(Counter::Coalesced)
+    );
+    assert_eq!(hits + misses, snapshot.get(Counter::Requests));
 }
 
 // ---------------------------------------------------------------------------
@@ -314,7 +323,7 @@ fn wait_for(what: &str, done: impl Fn() -> bool) {
 }
 
 fn coalesced(service: &SchedulerService) -> u64 {
-    service.metrics().snapshot().coalesced
+    service.metrics().get(Counter::Coalesced)
 }
 
 /// The `flight_in_flight` gauge of the `stats` verb.
@@ -362,9 +371,9 @@ fn gated_duplicates_coalesce_onto_one_solve() {
     }
     assert_eq!(gate.solves(), 1);
     let snapshot = service.metrics().snapshot();
-    assert_eq!(snapshot.fresh_solves, 1);
-    assert_eq!(snapshot.coalesced, (THREADS - 1) as u64);
-    assert_eq!(snapshot.requests, THREADS as u64);
+    assert_eq!(snapshot.get(Counter::FreshSolves), 1);
+    assert_eq!(snapshot.get(Counter::Coalesced), (THREADS - 1) as u64);
+    assert_eq!(snapshot.get(Counter::Requests), THREADS as u64);
     assert_counter_identities(&service);
     assert_eq!(in_flight(&service), 0.0);
     assert_eq!(service.cache().len(), 1);

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use common::{call, serve_stdin};
 use suu_core::InstanceBuilder;
 use suu_service::{
-    error_kind, spawn_tcp, PipelineConfig, Request, Response, SchedulerService, ServiceConfig,
-    TcpServerConfig,
+    error_kind, spawn_tcp, Counter, PipelineConfig, Request, Response, SchedulerService,
+    ServiceConfig, TcpServerConfig,
 };
 use suu_workloads::uniform_matrix;
 
@@ -140,8 +140,11 @@ fn stdin_pipelined_survives_the_malformed_corpus() {
     // Lines that parse as requests but fail validation are counted as
     // errors; pure protocol noise is answered without entering the metrics.
     let snap = svc.metrics().snapshot();
-    assert!(snap.errors >= 1 && (snap.errors as usize) <= expect_bad);
-    assert_eq!(snap.requests - snap.errors, expect_ok as u64);
+    assert!(snap.get(Counter::Errors) >= 1 && (snap.get(Counter::Errors) as usize) <= expect_bad);
+    assert_eq!(
+        snap.get(Counter::Requests) - snap.get(Counter::Errors),
+        expect_ok as u64
+    );
 
     // The workers survived: a fresh request still gets served.
     let after = call(

@@ -23,7 +23,8 @@ use rand_chacha::ChaCha8Rng;
 use suu_core::{InstanceBuilder, JobId, SuuInstance};
 use suu_graph::Dag;
 use suu_service::{
-    spawn_tcp, Request, Response, SchedulerService, ServiceConfig, ServiceHandle, TcpServerConfig,
+    spawn_tcp, Counter, Request, Response, SchedulerService, ServiceConfig, ServiceHandle,
+    TcpServerConfig,
 };
 use suu_workloads::{uniform_matrix, BurstConfig};
 
@@ -179,8 +180,8 @@ fn concurrent_clients_get_valid_schedules_and_cache_hits() {
     assert!(repeat.cache_hit, "repeated instance must hit the cache");
 
     let snapshot = handle.service().metrics().snapshot();
-    assert_eq!(snapshot.requests, 25);
-    assert_eq!(snapshot.errors, 0);
+    assert_eq!(snapshot.get(Counter::Requests), 25);
+    assert_eq!(snapshot.get(Counter::Errors), 0);
     assert!(handle.service().cache().hits() >= 13);
     handle.shutdown();
 }
@@ -315,9 +316,9 @@ fn tcp_clients_sustain_100_rps_and_coalesce_bursty_duplicates() {
         "pipelined throughput {rps:.1} req/s below the 100 req/s floor"
     );
     assert!(
-        metrics.fresh_solves <= distinct.len() as u64,
+        metrics.get(Counter::FreshSolves) <= distinct.len() as u64,
         "coalescing must keep fresh solves ({}) within the distinct instances ({})",
-        metrics.fresh_solves,
+        metrics.get(Counter::FreshSolves),
         distinct.len()
     );
 }

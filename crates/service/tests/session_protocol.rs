@@ -20,7 +20,9 @@
 //!   expired idle TTL evicts on the next session verb, and a full table
 //!   answers `busy` instead of evicting someone else;
 //! * the `stats` verb reports the session counters and revision-latency
-//!   histogram.
+//!   histogram, and once no session verb is in flight they agree: every
+//!   opened session is closed, evicted or still open, and warm revisions
+//!   are a subset of revisions.
 
 mod common;
 
@@ -32,8 +34,8 @@ use std::time::{Duration, Instant};
 use common::{deterministic_pipeline, serve_stdin};
 use serde::Value;
 use suu_service::{
-    drive_session, open_session_line, spawn_tcp, DriveConfig, SchedulerService, ServiceConfig,
-    StageContext, TcpServerConfig,
+    drive_session, open_session_line, spawn_tcp, Counter, DriveConfig, SchedulerService,
+    ServiceConfig, StageContext, TcpServerConfig,
 };
 use suu_workloads::machine_failure_scenario;
 
@@ -62,6 +64,32 @@ fn by_id(responses: &[Value]) -> std::collections::HashMap<u64, &Value> {
         .iter()
         .map(|v| (number(v, &["id"]) as u64, v))
         .collect()
+}
+
+/// The `stats` object of an in-process `stats` verb.
+fn stats_of(service: &SchedulerService) -> Value {
+    let reply = service.handle(r#"{"id":0,"verb":"stats"}"#, &StageContext::now(0));
+    serde_json::parse(&reply)
+        .expect("stats reply parses")
+        .get("stats")
+        .expect("stats object")
+        .clone()
+}
+
+/// The session counter identities, checked on a `stats` object taken while
+/// no session verb is in flight.
+#[allow(clippy::float_cmp)] // counters are exact small integers
+fn assert_session_identities(stats: &Value, context: &str) {
+    let count = |key: &str| number(stats, &["sessions", key]);
+    assert!(
+        count("revision_warm_hits") <= count("revisions"),
+        "{context}: warm revisions exceed revisions: {stats:?}"
+    );
+    assert_eq!(
+        count("opened"),
+        count("closed") + count("evicted") + count("open"),
+        "{context}: opened sessions must be closed, evicted or open: {stats:?}"
+    );
 }
 
 fn assert_unknown_session(resp: &Value, context: &str) {
@@ -148,6 +176,7 @@ fn check_lifecycle(responses: &[Value], transport: &str) {
     // The stats scrape (sent before close) sees the session still open and
     // all three revisions recorded.
     let stats = by_id[&6];
+    assert_session_identities(stats.get("stats").unwrap(), transport);
     assert_eq!(number(stats, &["stats", "sessions", "open"]), 1.0);
     assert_eq!(number(stats, &["stats", "sessions", "opened"]), 1.0);
     // The service-wide revision counter includes the revision-0 open solve
@@ -183,6 +212,7 @@ fn lifecycle_over_pipelined_stdin() {
     let input = lifecycle_corpus().join("\n") + "\n";
     let output = serve_stdin(&service, &input, &deterministic_pipeline());
     check_lifecycle(&parse_lines(&output), "stdin");
+    assert_session_identities(&stats_of(&service), "stdin after close");
 }
 
 fn spawn() -> suu_service::ServiceHandle {
@@ -213,6 +243,7 @@ fn lifecycle_over_tcp_pipelined() {
     drop(writer);
     drop(reader);
     check_lifecycle(&responses, "tcp");
+    assert_session_identities(&stats_of(handle.service()), "tcp after close");
     handle.shutdown();
 }
 
@@ -257,12 +288,13 @@ fn concurrent_sessions_fan_out_over_tcp() {
     }
     assert_eq!(sessions.len(), 2, "sessions must get distinct ids");
     let snapshot = handle.service().metrics().snapshot();
-    assert_eq!(snapshot.sessions_opened, 2);
-    assert_eq!(snapshot.sessions_closed, 2);
+    assert_eq!(snapshot.get(Counter::SessionsOpened), 2);
+    assert_eq!(snapshot.get(Counter::SessionsClosed), 2);
     assert!(
         handle.service().sessions().is_empty(),
         "all sessions closed"
     );
+    assert_session_identities(&stats_of(handle.service()), "tcp fan-out");
     handle.shutdown();
 }
 
@@ -276,8 +308,9 @@ fn disconnect_evicts_sessions_on_both_modes() {
     let output = serve_stdin(&service, &input, &deterministic_pipeline());
     let open = serde_json::parse(output.trim_end()).unwrap();
     assert_eq!(open.get("ok"), Some(&Value::Bool(true)), "stdin");
-    assert_eq!(service.metrics().snapshot().sessions_evicted, 1, "stdin");
+    assert_eq!(service.metrics().get(Counter::SessionsEvicted), 1, "stdin");
     assert!(service.sessions().is_empty(), "stdin");
+    assert_session_identities(&stats_of(&service), "stdin disconnect");
 
     let handle = spawn();
     {
@@ -294,7 +327,7 @@ fn disconnect_evicts_sessions_on_both_modes() {
     } // connection drops here, without close_session
 
     let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.service().metrics().snapshot().sessions_evicted == 0 {
+    while handle.service().metrics().get(Counter::SessionsEvicted) == 0 {
         assert!(
             Instant::now() < deadline,
             "disconnect never evicted the session"
@@ -302,6 +335,7 @@ fn disconnect_evicts_sessions_on_both_modes() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(handle.service().sessions().is_empty());
+    assert_session_identities(&stats_of(handle.service()), "tcp disconnect");
     handle.shutdown();
 }
 
@@ -328,8 +362,8 @@ fn idle_ttl_evicts_quiet_sessions() {
     .unwrap();
     assert_unknown_session(&reply, "ttl-expired session");
     let snapshot = service.metrics().snapshot();
-    assert_eq!(snapshot.sessions_evicted, 1);
-    assert_eq!(snapshot.unknown_session, 1);
+    assert_eq!(snapshot.get(Counter::SessionsEvicted), 1);
+    assert_eq!(snapshot.get(Counter::UnknownSession), 1);
     assert!(service.sessions().is_empty());
 }
 
@@ -347,6 +381,7 @@ fn full_table_answers_busy() {
     ))
     .unwrap();
     assert_eq!(first.get("ok"), Some(&Value::Bool(true)));
+    let revisions = number(&stats_of(&service), &["sessions", "revisions"]);
     let second = serde_json::parse(&service.handle(
         &open_session_line(2, &scenario.instance),
         &StageContext::now(0),
@@ -358,4 +393,11 @@ fn full_table_answers_busy() {
         Some(&Value::String("busy".to_string()))
     );
     assert_eq!(service.sessions().len(), 1, "the live session survives");
+    let stats = stats_of(&service);
+    assert_eq!(
+        number(&stats, &["sessions", "revisions"]),
+        revisions,
+        "a busy open serves no revision"
+    );
+    assert_session_identities(&stats, "busy open");
 }

@@ -11,7 +11,10 @@
 //!   towards the `requests` counter;
 //! * the per-stage histogram counts are *consistent*: every handled request
 //!   records the parse, solve and render stages exactly once, so their
-//!   counts equal `requests`;
+//!   counts equal `requests`; warm starts and LP solves are subsets of the
+//!   fresh solves;
+//! * the `stats` object's key paths, in order, are pinned (values, bucket
+//!   contents and per-solver/per-shard entry names aside);
 //! * unknown verbs get a structured `bad_request`, not a hung connection.
 
 mod common;
@@ -212,6 +215,11 @@ fn check(lines: &[String], transport: &str) {
     assert!(number(stats, &["lp", "pivots"]) > 0.0, "{transport}");
     assert!(number(stats, &["lp", "solves"]) > 0.0, "{transport}");
 
+    // Counter identities: warm starts and LP-backed solves are fresh solves.
+    let fresh = number(stats, &["fresh_solves"]);
+    assert!(number(stats, &["warm_hits"]) <= fresh, "{transport}");
+    assert!(number(stats, &["lp", "solves"]) <= fresh, "{transport}");
+
     // Per-solver counts sum to the request count.
     match stats.get("per_solver") {
         Some(Value::Object(per_solver)) => {
@@ -259,4 +267,114 @@ fn stats_and_trace_over_stdin_pipelined() {
 #[test]
 fn stats_and_trace_over_tcp_pipelined() {
     check(&run_tcp(), "tcp");
+}
+
+/// The keys every histogram object carries, in wire order.
+const HISTOGRAM_KEYS: [&str; 9] = [
+    "count", "sum", "mean", "p50", "p90", "p99", "p999", "max", "buckets",
+];
+
+/// The `stats` object's key paths in wire order. A trailing `#` marks a
+/// histogram, whose [`HISTOGRAM_KEYS`] follow it; `*` stands for any
+/// per-solver name and `[]` for any per-shard entry.
+const STATS_SCHEMA: &[&str] = &[
+    "uptime_us",
+    "requests",
+    "errors",
+    "busy_rejections",
+    "expired_dropped",
+    "fresh_solves",
+    "warm_hits",
+    "unknown_base",
+    "coalesced",
+    "latency_us#",
+    "lp",
+    "lp.pivots",
+    "lp.solves",
+    "lp.micros#",
+    "stages",
+    "stages.queue#",
+    "stages.parse#",
+    "stages.solve#",
+    "stages.render#",
+    "stages.flush#",
+    "queue",
+    "queue.depth",
+    "queue.capacity",
+    "queue.depth_samples#",
+    "per_solver",
+    "per_solver.*",
+    "cache",
+    "cache.entries",
+    "cache.hits",
+    "cache.misses",
+    "cache.evictions",
+    "cache.shards",
+    "cache.shards[].entries",
+    "cache.shards[].hits",
+    "cache.shards[].misses",
+    "cache.shards[].evictions",
+    "flight_in_flight",
+    "sessions",
+    "sessions.open",
+    "sessions.opened",
+    "sessions.closed",
+    "sessions.evicted",
+    "sessions.revisions",
+    "sessions.revision_warm_hits",
+    "sessions.unknown",
+    "sessions.revision_latency_us#",
+];
+
+/// Appends the key paths under `value` to `paths`, first occurrence only,
+/// without descending into histogram bucket tables.
+fn key_paths(value: &Value, prefix: &str, paths: &mut Vec<String>) {
+    let join = |key: &str| {
+        if prefix.is_empty() {
+            key.to_string()
+        } else {
+            format!("{prefix}.{key}")
+        }
+    };
+    match value {
+        Value::Object(fields) => {
+            for (key, child) in fields {
+                let path = join(if prefix == "per_solver" { "*" } else { key });
+                if !paths.contains(&path) {
+                    paths.push(path.clone());
+                }
+                if key != "buckets" {
+                    key_paths(child, &path, paths);
+                }
+            }
+        }
+        Value::Array(items) => {
+            for item in items {
+                key_paths(item, &format!("{prefix}[]"), paths);
+            }
+        }
+        _ => {}
+    }
+}
+
+#[test]
+fn stats_schema_is_pinned() {
+    let by_id = response_by_id(&run_stdin());
+    let stats = by_id[&STATS_ID].get("stats").expect("stats object");
+    let mut actual = Vec::new();
+    key_paths(stats, "", &mut actual);
+    let expected: Vec<String> = STATS_SCHEMA
+        .iter()
+        .flat_map(|entry| match entry.strip_suffix('#') {
+            Some(histogram) => std::iter::once(histogram.to_string())
+                .chain(
+                    HISTOGRAM_KEYS
+                        .iter()
+                        .map(|key| format!("{histogram}.{key}")),
+                )
+                .collect(),
+            None => vec![(*entry).to_string()],
+        })
+        .collect();
+    assert_eq!(actual, expected);
 }
