@@ -20,8 +20,6 @@
 //! [`ChainsOptions::seed`], so the parallel schedule is bit-identical to the
 //! sequential one.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use rayon::prelude::*;
 use suu_core::{Assignment, JobId, ObliviousSchedule, SuuInstance};
 use suu_graph::{ChainDecomposition, ForestKind};
@@ -105,37 +103,47 @@ pub fn schedule_forest_with(
     // (each works on its own restricted sub-instance) and `collect` returns
     // them in block order, so the sequential concatenation below produces
     // exactly the schedule the old serial loop did. The pivot budget in
-    // `options.lp` is shared across blocks through `pivots_spent`: each block
-    // starts with whatever the others have left *at the moment it begins*.
-    // Enforcement is cooperative: with P blocks solving concurrently, each
-    // may have snapshotted the full remaining budget, so total spend can
-    // reach P× the budget in the worst case — the budget is a lever, not a
-    // hard cap, under parallel execution. The wall-clock deadline, by
-    // contrast, is absolute and exact in every block.
-    let pivots_spent = AtomicUsize::new(0);
+    // `options.lp` covers the whole forest: every block runs under the full
+    // budget, and the fold below sums their pivots in block order, failing
+    // the request once the sum passes the budget. The verdict and the pivot
+    // count it reports therefore do not depend on which block finished
+    // first; a parallel run may spend up to one budget per block before the
+    // fold rejects it. The wall-clock deadline is absolute and exact in
+    // every block.
     let block_inputs = decomposition.block_chain_sets();
     let solved_blocks: Vec<Result<SolvedBlock, AlgorithmError>> = block_inputs
         .par_iter()
         .map(|(chain_set, mapping)| {
-            solve_block(
-                instance,
-                chain_set,
-                mapping,
-                &block_options,
-                sigma,
-                &pivots_spent,
-            )
+            solve_block(instance, chain_set, mapping, &block_options, sigma)
         })
         .collect();
 
+    let budget = options.lp.max_pivots;
     let mut combined = ObliviousSchedule::new(instance.num_machines());
     let mut block_stats = Vec::new();
     let mut lp_pivots = 0usize;
     let mut lp_micros = 0u64;
     for solved in solved_blocks {
-        let solved = solved?;
-        combined = combined.concat(&solved.replicated);
+        let solved = match solved {
+            Ok(solved) => solved,
+            // A block that ran out of budget or time on its own: the
+            // forest's count is the blocks before it plus its own.
+            Err(AlgorithmError::BudgetExhausted { pivots, wall_clock }) => {
+                return Err(AlgorithmError::BudgetExhausted {
+                    pivots: lp_pivots + pivots,
+                    wall_clock,
+                })
+            }
+            Err(err) => return Err(err),
+        };
         lp_pivots += solved.stats.lp_pivots;
+        if budget.is_some_and(|budget| lp_pivots > budget) {
+            return Err(AlgorithmError::BudgetExhausted {
+                pivots: lp_pivots,
+                wall_clock: false,
+            });
+        }
+        combined = combined.concat(&solved.replicated);
         lp_micros = lp_micros.saturating_add(solved.lp_micros);
         block_stats.push(solved.stats);
     }
@@ -170,43 +178,18 @@ struct SolvedBlock {
 /// Solves one block of the chain decomposition end to end: restrict the
 /// instance to the block's jobs, run the Theorem 4.4 chain pipeline, remap
 /// the schedule back to original job ids and apply the per-block
-/// replication. Runs on a rayon worker; touches no shared mutable state.
+/// replication. Runs on a rayon worker under the forest's whole pivot
+/// budget; touches no shared mutable state.
 fn solve_block(
     instance: &SuuInstance,
     chain_set: &suu_graph::ChainSet,
     mapping: &[usize],
     block_options: &ChainsOptions,
     sigma: usize,
-    pivots_spent: &AtomicUsize,
 ) -> Result<SolvedBlock, AlgorithmError> {
     let jobs: Vec<JobId> = mapping.iter().map(|&j| JobId(j)).collect();
     let (sub_instance, _) = instance.restrict_to_jobs(&jobs);
-    // Hand this block whatever pivot budget the others have left; report
-    // exhaustion with the pipeline-wide total so the caller sees the true
-    // cost, not one block's share.
-    let mut block_options = block_options.clone();
-    let already_spent = pivots_spent.load(Ordering::Relaxed);
-    if let Some(total) = block_options.lp.max_pivots {
-        let remaining = total.saturating_sub(already_spent);
-        if remaining == 0 {
-            return Err(AlgorithmError::BudgetExhausted {
-                pivots: already_spent,
-                wall_clock: false,
-            });
-        }
-        block_options.lp.max_pivots = Some(remaining);
-    }
-    let block = match schedule_given_chains(&sub_instance, chain_set, &block_options) {
-        Ok(block) => block,
-        Err(AlgorithmError::BudgetExhausted { pivots, wall_clock }) => {
-            return Err(AlgorithmError::BudgetExhausted {
-                pivots: pivots + already_spent,
-                wall_clock,
-            })
-        }
-        Err(err) => return Err(err),
-    };
-    pivots_spent.fetch_add(block.lp_pivots, Ordering::Relaxed);
+    let block = schedule_given_chains(&sub_instance, chain_set, block_options)?;
     let remapped = remap_jobs(&block.constant_mass_schedule, mapping);
     Ok(SolvedBlock {
         replicated: remapped.replicate_steps(sigma),
@@ -349,11 +332,9 @@ mod tests {
             };
             let mut combined = ObliviousSchedule::new(inst.num_machines());
             let mut pivots = 0usize;
-            let spent = AtomicUsize::new(0);
             for (chain_set, mapping) in decomposition.block_chain_sets() {
                 let solved =
-                    solve_block(&inst, &chain_set, &mapping, &block_options, sigma, &spent)
-                        .unwrap();
+                    solve_block(&inst, &chain_set, &mapping, &block_options, sigma).unwrap();
                 combined = combined.concat(&solved.replicated);
                 pivots += solved.stats.lp_pivots;
             }
@@ -404,6 +385,47 @@ mod tests {
             ..ChainsOptions::default()
         };
         assert_eq!(schedule_forest_with(&inst, &generous).unwrap(), unbudgeted);
+    }
+
+    #[test]
+    fn pivot_budget_verdict_does_not_depend_on_block_timing() {
+        use crate::lp_relaxation::LpBudget;
+        let inst = forest_instance(48, 6, 3, "mixed");
+        let unbudgeted = schedule_forest(&inst).unwrap();
+        let pivots: Vec<usize> = unbudgeted.block_stats.iter().map(|b| b.lp_pivots).collect();
+        let largest = pivots.iter().copied().max().unwrap();
+        assert!(
+            largest < unbudgeted.lp_pivots,
+            "needs two blocks with pivots: {pivots:?}"
+        );
+        // Every block fits the budget on its own, the forest does not: the
+        // verdict is the first block-order prefix sum past the budget.
+        let budget = largest;
+        let mut sum = 0;
+        let expected = pivots
+            .iter()
+            .find_map(|&p| {
+                sum += p;
+                (sum > budget).then_some(sum)
+            })
+            .unwrap();
+        let options = ChainsOptions {
+            lp: LpBudget {
+                max_pivots: Some(budget),
+                ..LpBudget::default()
+            },
+            ..ChainsOptions::default()
+        };
+        for run in 0..30 {
+            assert_eq!(
+                schedule_forest_with(&inst, &options).unwrap_err(),
+                AlgorithmError::BudgetExhausted {
+                    pivots: expected,
+                    wall_clock: false,
+                },
+                "run {run}, block pivots {pivots:?}"
+            );
+        }
     }
 
     #[test]

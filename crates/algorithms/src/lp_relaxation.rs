@@ -19,6 +19,46 @@
 //! schedule built from a rounded (LP1) solution can be charged against the
 //! optimal expected makespan. For independent jobs the chain and `d`
 //! constraints disappear, giving (LP2), used by Theorem 4.5.
+//!
+//! # The greedy start basis
+//!
+//! [`build_relaxation`] hands the revised simplex a vertex to start from
+//! ([`LpProblem::set_start_basis`]), so a cold solve skips phase 1. The
+//! vertex comes from a greedy mass assignment: each job is put wholly on
+//! its most reliable machine `i*` (the largest `p_ij`, the first on ties),
+//! with `x_{i*j} = 1/(2 p_{i*j})` — exactly the job's mass 1/2, in the
+//! fewest steps. Then `d_j = max(1, x_{i*j})` and `t` is the largest machine
+//! load or chain length `Σ_{j ∈ C_k} d_j`. The basis seats, row by row:
+//!
+//! * mass row `j`: `x_{i*j}` (the row is tight);
+//! * `d_j ≥ 1`: `d_j` when `x_{i*j} ≤ 1` (tight); otherwise its surplus
+//!   `x_{i*j} − 1 > 0`, and `d_j` sits in the tight `x_{i*j} ≤ d_j` row;
+//! * the load or chain row with the largest value (the first on ties): `t`;
+//! * every other row: its own slack.
+//!
+//! **Feasible:** every basic value is nonnegative — `x` and `d` are
+//! positive, a `d`-row surplus is seated only when `x_{i*j} > 1`, every
+//! other load or chain row's slack is `t` minus its value, which `t` bounds
+//! by choice, and an `x_ij ≤ d_j` slack is `d_j − x_ij ≥ 0` because
+//! `d_j ≥ x_{i*j}` and every other `x_ij` is 0. **Nonsingular:** the basis
+//! matrix is triangular after reordering — each mass row fixes its `x`, then
+//! each job's `d`-row or tight `x ≤ d` row fixes `d_j`, the `t` row fixes
+//! `t`, and each remaining row fixes its slack. **Artificial-free** by
+//! construction, so the engine installs it and phase 1 has nothing to do.
+//! Without it the engine's triangular crash seats no `x_ij` (every load row
+//! has zero slack while `t = 0`), and phase 1 spends a pivot per artificial
+//! to reach a vertex no better than this one. The dense engine ignores the
+//! start basis.
+//!
+//! **Why the most reliable machine.** The optimum keeps most jobs on their
+//! cheapest machine and splits a few to level the loads. A load-balancing
+//! greedy (jobs in index order, each on the machine minimising
+//! `load_i + 1/(2 p_ij)`) starts farther away: on the `lp1_row_diet`
+//! instances it left 0.26–0.63 of the unhinted pivots where the loads bind
+//! `t`, against 0.14–0.29 here, and its phase-2 pivots cost enough more
+//! than phase-1 ones that the larger load-bound solves ran slower than with
+//! no start basis at all (9.6–9.9 ms against 8.0–8.6 ms at n = 160, m = 20,
+//! 53 chains, min of 7 runs on a shared 2-vCPU host; 4.7–5.1 ms here).
 
 use std::time::Instant;
 
@@ -226,7 +266,9 @@ pub fn solve_lp2_with(
 /// to get (LP2). (LP1)'s `x_ij ≤ d_j` rows are added lazy (see the comment
 /// at their loop): the model and its optimum are the full (LP1), but the
 /// revised engine solves on the other rows and adds back only the violated
-/// ones.
+/// ones. The problem carries the greedy start basis (see the module docs);
+/// clear it with `set_start_basis(Vec::new())` to time a cold start from the
+/// engine's own crash.
 #[allow(clippy::type_complexity)]
 pub fn build_relaxation(
     instance: &SuuInstance,
@@ -261,24 +303,59 @@ pub fn build_relaxation(
     let t_var = lp.add_variable("t");
     lp.set_objective_coefficient(t_var, 1.0);
 
+    // The greedy mass assignment behind the start basis (see the module
+    // docs): each job wholly on its most reliable machine (the first on
+    // ties), as `(x_ij variable, x_ij = 1/(2 p_ij))`. Every row is an
+    // inequality, so row r's slack is standard-form column `num_vars + r`;
+    // `start` collects the column seated in each row as the rows go in.
+    let greedy: Vec<Option<(VarId, f64)>> = mass_terms
+        .iter()
+        .map(|terms| {
+            let (v, p) = terms
+                .iter()
+                .copied()
+                .reduce(|best, term| if term.1 > best.1 { term } else { best })?;
+            Some((v, LP_MASS_TARGET / p))
+        })
+        .collect();
+    let num_vars = lp.num_variables();
+    let mut start: Vec<usize> = Vec::new();
+    // Rows `t` may be seated in, with their greedy load or chain length.
+    let mut t_rows: Vec<(usize, f64)> = Vec::with_capacity(m);
+
     // (1) mass constraints: Σ_i p_ij x_ij ≥ 1/2, one term per non-zero of
-    // job j's column.
-    for terms in mass_terms {
-        lp.add_constraint(terms, ConstraintOp::Ge, LP_MASS_TARGET, "");
+    // job j's column. Seated: the greedy x_ij (a job without a machine keeps
+    // its surplus, which the engine then rejects as infeasible).
+    for (terms, choice) in mass_terms.into_iter().zip(&greedy) {
+        let r = lp.add_constraint(terms, ConstraintOp::Ge, LP_MASS_TARGET, "");
+        start.push(choice.map_or(num_vars + r, |(v, _)| v.0));
     }
     // (2) machine load constraints: Σ_j x_ij − t ≤ 0, one term per non-zero
     // of machine i's row.
     for row in &x_var {
         let mut terms: Vec<(VarId, f64)> = row.iter().map(|&(_, v)| (v, 1.0)).collect();
         terms.push((t_var, -1.0));
-        lp.add_constraint(terms, ConstraintOp::Le, 0.0, "");
+        let r = lp.add_constraint(terms, ConstraintOp::Le, 0.0, "");
+        start.push(num_vars + r);
+        let load = row
+            .iter()
+            .filter_map(|&(j, v)| greedy[j].filter(|&(chosen, _)| chosen == v))
+            .map(|(_, x)| x)
+            .sum();
+        t_rows.push((r, load));
     }
     if let (Some(chains), Some(d_var)) = (chains, d_var.as_ref()) {
+        // The greedy x_ij above one step, by job: d_j = x_ij is then seated
+        // in the tight x_ij ≤ d_j row instead of d_j ≥ 1.
+        let long = |j: usize| greedy[j].filter(|&(_, x)| x > 1.0);
         // (3) chain-length constraints: Σ_{j ∈ C_k} d_j − t ≤ 0.
         for chain in chains.chains() {
             let mut terms: Vec<(VarId, f64)> = chain.iter().map(|&j| (d_var[j], 1.0)).collect();
             terms.push((t_var, -1.0));
-            lp.add_constraint(terms, ConstraintOp::Le, 0.0, "");
+            let r = lp.add_constraint(terms, ConstraintOp::Le, 0.0, "");
+            start.push(num_vars + r);
+            let length = chain.iter().map(|&j| long(j).map_or(1.0, |(_, x)| x)).sum();
+            t_rows.push((r, length));
         }
         // (4) x_ij ≤ d_j, one row per non-zero: most of (LP1)'s rows (7,440
         // of 7,770 at n=240, m=30), and nearly all slack at the optimum. A
@@ -291,14 +368,32 @@ pub fn build_relaxation(
         // the mark, and the optimum is (LP1)'s either way.
         for row in &x_var {
             for &(j, v) in row {
-                lp.add_lazy_constraint(vec![(v, 1.0), (d_var[j], -1.0)], ConstraintOp::Le, 0.0, "");
+                let r = lp.add_lazy_constraint(
+                    vec![(v, 1.0), (d_var[j], -1.0)],
+                    ConstraintOp::Le,
+                    0.0,
+                    "",
+                );
+                let tight = long(j).is_some_and(|(long_v, _)| long_v == v);
+                start.push(if tight { d_var[j].0 } else { num_vars + r });
             }
         }
         // (5) d_j ≥ 1.
-        for &dv in d_var {
-            lp.add_constraint(vec![(dv, 1.0)], ConstraintOp::Ge, 1.0, "");
+        for (j, &dv) in d_var.iter().enumerate() {
+            let r = lp.add_constraint(vec![(dv, 1.0)], ConstraintOp::Ge, 1.0, "");
+            start.push(if long(j).is_some() {
+                num_vars + r
+            } else {
+                dv.0
+            });
         }
     }
+    // t = the largest load or chain length, seated in that row (the first
+    // on ties); every other t row keeps its slack t − length ≥ 0.
+    if let Some(&(r, _)) = t_rows.iter().rev().max_by(|a, b| a.1.total_cmp(&b.1)) {
+        start[r] = t_var.0;
+    }
+    lp.set_start_basis(start);
     (lp, x_var, d_var, t_var)
 }
 

@@ -66,7 +66,12 @@ pub enum Engine {
 /// the smallest revised-winning point; see the "auto crossover" table in
 /// `BENCH_lp_scaling.json`). The recorded fit is ≈ 35,700 cells from the
 /// bracket (31,347 dense-winning; 40,586 revised-winning), rounded here.
-/// Re-fit after any engine change.
+/// The probe times both engines on problems *without* a start basis
+/// ([`LpProblem::set_start_basis`]), so the fit compares the two kernels
+/// from the same cold start. A relaxation that carries its greedy start
+/// basis only makes the revised side cheaper, so routing it by this
+/// threshold leaves some dense solves that revised would now win; the
+/// threshold was left unchanged. Re-fit after any engine change.
 pub const DENSE_CELL_THRESHOLD: usize = 35_000;
 
 /// The exact standard-form tableau size `(rows + 1) × (total columns + 1)`

@@ -10,7 +10,9 @@
 //!
 //! * [`model::LpProblem`] — a tiny modelling layer: nonnegative variables,
 //!   `≤ / ≥ / =` constraints stored sparse as `(VarId, f64)` rows (optionally
-//!   marked *lazy*: expected slack at the optimum), minimise or maximise.
+//!   marked *lazy*: expected slack at the optimum), minimise or maximise,
+//!   plus an optional *start basis* the revised engine's cold solves begin
+//!   from.
 //! * [`sparse::CsrMatrix`] — compressed-sparse-row storage with row
 //!   iteration, column gather and transpose (the CSC view).
 //! * [`dense`] — the original two-phase dense-tableau simplex: the engine for

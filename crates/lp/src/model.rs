@@ -16,6 +16,13 @@
 //! changes the problem being solved. The dense engine ignores it; the revised
 //! engine holds such rows back until a solution of the remaining rows
 //! violates them (see [`crate::revised`]).
+//!
+//! A problem may also carry a *start basis* ([`LpProblem::set_start_basis`]):
+//! a builder that knows a primal-feasible vertex of its own model hands it to
+//! the revised engine, whose cold solves then start there instead of from the
+//! triangular crash and phase 1. Like the lazy mark, it never changes the
+//! problem being solved: the dense engine ignores it, and the revised engine
+//! checks it and falls back to the crash when it does not fit.
 
 use serde::{Deserialize, Serialize};
 
@@ -86,6 +93,10 @@ pub struct LpProblem {
     names: Vec<String>,
     objective: Vec<f64>,
     constraints: Vec<Constraint>,
+    /// Cold-start hint, in full-model standard-form coordinates; empty when
+    /// none (see [`set_start_basis`](Self::set_start_basis)).
+    #[serde(default)]
+    start_basis: Vec<usize>,
 }
 
 impl LpProblem {
@@ -97,6 +108,7 @@ impl LpProblem {
             names: Vec::new(),
             objective: Vec::new(),
             constraints: Vec::new(),
+            start_basis: Vec::new(),
         }
     }
 
@@ -191,6 +203,29 @@ impl LpProblem {
             lazy,
         });
         self.constraints.len() - 1
+    }
+
+    /// Attaches a start basis for cold solves: one standard-form column per
+    /// constraint row, in the [`WarmStart`](crate::WarmStart) convention —
+    /// column `v` for variable `VarId(v)`, column `num_variables() + k` for
+    /// the slack (or surplus) of the `k`-th row that is not an `=` row.
+    /// Rows are numbered as added, so set the basis once every row is in.
+    ///
+    /// The basis is a hint: the revised engine installs it only when it has
+    /// one column per row, no artificial or repeated column, a nonsingular
+    /// basis matrix and nonnegative basic values; otherwise the cold solve
+    /// runs exactly as without it. A lazy row whose slack is in the basis is
+    /// held back; every other lazy row starts in the working set. An empty
+    /// basis clears the hint.
+    pub fn set_start_basis(&mut self, basis: Vec<usize>) {
+        self.start_basis = basis;
+    }
+
+    /// The start basis attached by [`set_start_basis`](Self::set_start_basis)
+    /// (empty when none).
+    #[must_use]
+    pub fn start_basis(&self) -> &[usize] {
+        &self.start_basis
     }
 
     /// Number of variables.
@@ -367,6 +402,29 @@ mod tests {
         let legacy = Constraint::from_value(&Value::Object(legacy)).unwrap();
         assert!(!legacy.lazy);
         assert_eq!(legacy.terms, lp.constraints()[0].terms);
+    }
+
+    #[test]
+    fn problems_without_a_start_basis_field_deserialise_unhinted() {
+        use serde::{Deserialize, Serialize, Value};
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_variable("x");
+        lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Ge, 1.0, "c");
+        assert!(lp.start_basis().is_empty());
+        lp.set_start_basis(vec![0]);
+        assert_eq!(lp.start_basis(), &[0]);
+        let Value::Object(fields) = lp.to_value() else {
+            panic!("problems serialise as objects");
+        };
+        let round_trip = LpProblem::from_value(&Value::Object(fields.clone())).unwrap();
+        assert_eq!(round_trip, lp);
+        let legacy: Vec<_> = fields
+            .into_iter()
+            .filter(|(k, _)| k != "start_basis")
+            .collect();
+        let legacy = LpProblem::from_value(&Value::Object(legacy)).unwrap();
+        assert!(legacy.start_basis().is_empty());
+        assert_eq!(legacy.constraints(), lp.constraints());
     }
 
     #[test]

@@ -36,11 +36,25 @@
 //! for the (LP1)/(LP2) instances of the paper whose density is
 //! O(log m / m).
 //!
+//! **Cold start.** A cold solve starts from the problem's start basis
+//! ([`LpProblem::set_start_basis`]) when it has one that installs: one
+//! column per row, no artificial or repeated column, a nonsingular basis
+//! matrix and `x_B ≥ −tolerance`. Lazy rows whose slack it makes basic are
+//! held back, the others join the working set. Such a basis is
+//! artificial-free and primal feasible, so phase 1 is skipped and phase 2
+//! starts at once; the solve still counts as cold (`warm: false`). Without
+//! one — or when it fails any check, in which case the solve is exactly the
+//! unhinted one — the start is the slack/artificial basis after a
+//! *triangular crash*: each row that needs an artificial gets a structural
+//! column instead where one pivots positively, is stable against its column,
+//! and leaves every other row it touches slack-basic with room to spare.
+//!
 //! Phase handling mirrors the dense engine: phase 1 minimises the sum of
-//! artificial variables; in phase 2 artificials are barred from entering and
-//! any still basic (at value zero) are pivoted out lazily by the ratio test
-//! the moment an entering column crosses their row. If the factorisation ever
-//! turns singular or the solution fails a final feasibility check, the solver
+//! the artificials the start left basic (it does not run when there are
+//! none); in phase 2 artificials are barred from entering and any still
+//! basic (at value zero) are pivoted out lazily by the ratio test the moment
+//! an entering column crosses their row. If the factorisation ever turns
+//! singular or the solution fails a final feasibility check, the solver
 //! transparently falls back to the dense oracle.
 //!
 //! **Lazy rows.** Rows marked by [`LpProblem::add_lazy_constraint`] are held
@@ -127,6 +141,8 @@ const PRICE_WINDOW_DIVISOR: usize = 4;
 /// Rows marked lazy ([`LpProblem::add_lazy_constraint`]) are held back until
 /// a solution violates them (see the module docs); the answer is the full
 /// model's either way, and `iterations` counts the pivots of every round.
+/// The solve starts from the problem's start basis when that installs, else
+/// from the triangular crash (see the module docs).
 ///
 /// # Errors
 ///
@@ -137,7 +153,7 @@ pub fn solve_revised(problem: &LpProblem, options: &SimplexOptions) -> Result<Lp
         return Ok(crate::engine::solve_empty(problem, options));
     }
     let layout = Layout::new(problem);
-    match solve_cold(problem, &layout, layout.initial_rows(), options, 0) {
+    match solve_cold(problem, &layout, false, options, 0) {
         Ok((_, solution)) => Ok(solution),
         Err(Trouble::IterationLimit { limit }) => Err(LpError::IterationLimit { limit }),
         // A caller budget running out is a *verdict*, not numerical trouble:
@@ -261,7 +277,7 @@ pub fn solve_revised_with_basis(
         });
     }
     let layout = Layout::new(problem);
-    let result = solve_cold(problem, &layout, layout.initial_rows(), options, 0)
+    let result = solve_cold(problem, &layout, false, options, 0)
         .map(|(solver, solution)| capture_outcome(solver, &layout, solution));
     finish_outcome(result, problem, options)
 }
@@ -276,8 +292,8 @@ pub fn solve_revised_with_basis(
 ///   until primal feasibility, then primal cleanup (the common case after a
 ///   rhs/bound change: the parent's optimal basis is primal-infeasible but
 ///   still dual-feasible);
-/// * **neither** — cold two-phase solve from the crash basis, exactly as
-///   [`solve_revised`] would run it.
+/// * **neither** — cold solve exactly as [`solve_revised`] would run it
+///   (from the problem's start basis, or else the crash basis).
 ///
 /// Lazy rows whose slack is basic in the warm basis are held back, and added
 /// back by the same dual-simplex rounds as a cold solve's once violated.
@@ -437,21 +453,35 @@ impl Layout {
     }
 }
 
-/// Cold solve from the triangular crash basis of the working set `rows`,
-/// grown by [`finish_rounds`] until no held-back row is violated. `spent`
-/// pivots of an abandoned attempt count towards `iterations` and the
-/// budgets.
+/// Cold solve, grown by [`finish_rounds`] until no held-back row is
+/// violated. It starts from the problem's start basis when that installs
+/// ([`Revised::from_start_basis`]), else from the triangular crash basis of
+/// the initial working set — of every row when `full` (the redo of an
+/// unbounded restricted solve). `spent` pivots of an abandoned attempt count
+/// towards `iterations` and the budgets.
 fn solve_cold(
     problem: &LpProblem,
     layout: &Layout,
-    rows: Vec<usize>,
+    full: bool,
     options: &SimplexOptions,
     spent: usize,
 ) -> Result<(Revised, LpSolution), Trouble> {
-    let mut solver = Revised::build(problem, layout, rows, options);
-    solver.crash(problem.num_variables());
+    let mut solver = match Revised::from_start_basis(problem, layout, full, options) {
+        Some(solver) => solver,
+        None => {
+            let rows = if full {
+                (0..problem.num_constraints()).collect()
+            } else {
+                layout.initial_rows()
+            };
+            let mut solver = Revised::build(problem, layout, rows, options);
+            solver.crash(problem.num_variables());
+            solver.iterations = spent;
+            solver.refactorize()?;
+            solver
+        }
+    };
     solver.iterations = spent;
-    solver.refactorize()?;
     let (end, phase1) = run_two_phase(&mut solver, problem, options, layout.limit(options))?;
     finish_rounds(solver, problem, layout, options, end, phase1)
 }
@@ -500,8 +530,7 @@ fn finish_rounds(
     }
     let (status, objective) = match (end, problem.sense()) {
         (PhaseStatus::Unbounded, _) if solver.nrows < problem.num_constraints() => {
-            let all = (0..problem.num_constraints()).collect();
-            return solve_cold(problem, layout, all, options, solver.iterations);
+            return solve_cold(problem, layout, true, options, solver.iterations);
         }
         (PhaseStatus::Unbounded, Sense::Minimize) => (LpStatus::Unbounded, f64::NEG_INFINITY),
         (PhaseStatus::Unbounded, Sense::Maximize) => (LpStatus::Unbounded, f64::INFINITY),
@@ -555,21 +584,15 @@ fn try_solve_warm(
 ) -> Result<WarmOutcome, Trouble> {
     let layout = Layout::new(problem);
     let cold = || {
-        solve_cold(problem, &layout, layout.initial_rows(), options, 0)
+        solve_cold(problem, &layout, false, options, 0)
             .map(|(solver, solution)| capture_outcome(solver, &layout, solution))
     };
-    let Some((rows, basis)) = layout.split_warm(&warm.basis) else {
+    let seated = layout.split_warm(&warm.basis).and_then(|(rows, basis)| {
+        Revised::seated(problem, &layout, rows, basis, warm.factors, options)
+    });
+    let Some(mut solver) = seated else {
         return cold();
     };
-    let mut solver = Revised::build(problem, &layout, rows, options);
-    let local = solver.local_columns(&layout);
-    let basis = basis.into_iter().map(|c| local[c]).collect();
-    if !solver.try_install_warm(WarmStart {
-        basis,
-        factors: warm.factors,
-    }) {
-        return cold();
-    }
     let limit = layout.limit(options);
     let tol = options.tolerance;
 
@@ -583,7 +606,7 @@ fn try_solve_warm(
             (0..solver.num_real).all(|c| !solver.priceable(c) || solver.rc[c] >= -tol);
         if !dual_feasible {
             // The donor vertex is neither primal- nor dual-feasible here:
-            // nothing to inherit, run the cold two-phase from the crash basis.
+            // nothing to inherit, run the cold solve.
             return cold();
         }
     }
@@ -606,8 +629,9 @@ fn run_two_phase(
     // Phase 1: minimise the sum of artificial variables. The triangular
     // crash replaces artificials with structural columns wherever it can do
     // so feasibly, so phase 1 runs only for the rows it missed — and an
-    // entirely crashed basis skips phase 1 outright (the crash basis being
-    // feasible *is* the feasibility certificate phase 1 exists to produce).
+    // entirely crashed basis, like an installed start basis, skips phase 1
+    // outright (a feasible artificial-free basis *is* the feasibility
+    // certificate phase 1 exists to produce).
     if solver.has_basic_artificials() {
         solver.install_phase1_costs();
         let status = solver.optimize(options, limit)?;
@@ -857,6 +881,54 @@ impl Revised {
         }
     }
 
+    /// Builds the working set `rows` and installs `basis` (full-model
+    /// columns, one per working row) with [`Self::try_install_warm`];
+    /// `None` when it does not install.
+    fn seated(
+        problem: &LpProblem,
+        layout: &Layout,
+        rows: Vec<usize>,
+        basis: Vec<usize>,
+        factors: Option<LuFactors>,
+        options: &SimplexOptions,
+    ) -> Option<Self> {
+        let mut solver = Self::build(problem, layout, rows, options);
+        let local = solver.local_columns(layout);
+        let basis = basis.into_iter().map(|c| local[c]).collect();
+        solver
+            .try_install_warm(WarmStart { basis, factors })
+            .then_some(solver)
+    }
+
+    /// Seats the problem's start basis ([`LpProblem::start_basis`]) on the
+    /// working set it implies (the [`Layout::split_warm`] rule: lazy rows
+    /// whose slack it makes basic are held back), or on every row when
+    /// `full`. `None` — and a cold solve exactly as without a hint — when
+    /// there is no start basis or it fails a check: wrong length, artificial
+    /// or repeated columns, a singular basis matrix, or a basic value below
+    /// `−tolerance`. An installed start basis is artificial-free and primal
+    /// feasible, so phase 1 has nothing to do.
+    fn from_start_basis(
+        problem: &LpProblem,
+        layout: &Layout,
+        full: bool,
+        options: &SimplexOptions,
+    ) -> Option<Self> {
+        let hint = problem.start_basis();
+        if hint.is_empty() {
+            return None;
+        }
+        let (rows, basis) = layout.split_warm(hint)?;
+        let (rows, basis) = if full {
+            ((0..hint.len()).collect(), hint.to_vec())
+        } else {
+            (rows, basis)
+        };
+        let solver = Self::seated(problem, layout, rows, basis, None, options)?;
+        let tol = options.tolerance;
+        solver.xb.iter().all(|&x| x >= -tol).then_some(solver)
+    }
+
     /// Triangular crash: before settling for an all-artificial phase-1
     /// start, try to seat a structural column in each artificial row. A
     /// candidate must pivot positively in its row (so its basic value
@@ -867,10 +939,12 @@ impl Revised {
     /// the crash is deterministic; the resulting basis is lower triangular
     /// (crashed rows first, slack rows after) and feasible by construction —
     /// phase 1 then only has to drive out the artificials the greedy could
-    /// not replace, often none at all. `n` is the structural column count.
-    /// The basis stays near triangular
-    /// (crash columns plus unit slack/artificial columns), so the first
-    /// factorisation is cheap.
+    /// not replace, sometimes none at all. It seats nothing in (LP1)/(LP2):
+    /// every `x_ij` also sits in a load row `Σ_j x_ij − t ≤ 0`, whose slack
+    /// is zero while `t = 0`; their builder supplies a start basis instead.
+    /// The basis stays near triangular (crash columns plus unit
+    /// slack/artificial columns), so the first factorisation is cheap. `n`
+    /// is the structural column count.
     fn crash(&mut self, n: usize) {
         let mut remaining = self.b.clone();
         let mut col_used = vec![false; self.ncols];
@@ -919,8 +993,9 @@ impl Revised {
     }
 
     /// Whether any artificial variable is still basic (phase 1 has work to
-    /// do). The triangular crash can seat structural columns in every
-    /// artificial row, in which case phase 1 is skipped entirely.
+    /// do). An installed start basis has none, and the triangular crash can
+    /// seat structural columns in every artificial row; either way phase 1
+    /// is skipped entirely.
     fn has_basic_artificials(&self) -> bool {
         self.basis.iter().any(|&v| self.is_artificial[v])
     }

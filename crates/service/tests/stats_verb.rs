@@ -15,6 +15,8 @@
 //!   fresh solves;
 //! * the `stats` object's key paths, in order, are pinned (values, bucket
 //!   contents and per-solver/per-shard entry names aside);
+//! * a cold chains solve on the revised engine — which starts from the
+//!   relaxation's greedy start basis — is a fresh LP solve, never a warm hit;
 //! * unknown verbs get a structured `bad_request`, not a hung connection.
 
 mod common;
@@ -25,7 +27,9 @@ use std::sync::Arc;
 
 use common::{burst_pool, deterministic_pipeline, mixed_burst, serve_stdin};
 use serde::Value;
-use suu_service::{spawn_tcp, SchedulerService, ServiceConfig, SolveOptions, TcpServerConfig};
+use suu_service::{
+    spawn_tcp, Request, SchedulerService, ServiceConfig, SolveOptions, TcpServerConfig,
+};
 
 /// Scheduling requests per run; the first [`TRACED`] opt into tracing.
 const SOLVES: usize = 6;
@@ -377,4 +381,53 @@ fn stats_schema_is_pinned() {
         })
         .collect();
     assert_eq!(actual, expected);
+}
+
+#[test]
+fn cold_revised_chains_solve_is_not_a_warm_hit() {
+    use suu_algorithms::lp_relaxation::build_relaxation;
+    use suu_core::InstanceBuilder;
+    use suu_graph::ChainSet;
+    use suu_lp::engine::{tableau_cells, DENSE_CELL_THRESHOLD};
+    use suu_workloads::{random_chains, uniform_matrix};
+
+    let (n, m) = (40, 5);
+    let dag = random_chains(n, 10, 3);
+    let instance = InstanceBuilder::new(n, m)
+        .probability_matrix(uniform_matrix(n, m, 0.1, 0.9, 3))
+        .precedence(dag.clone())
+        .build()
+        .unwrap();
+    let (lp, _, _, _) = build_relaxation(&instance, Some(&ChainSet::from_dag(&dag).unwrap()));
+    assert!(
+        tableau_cells(&lp) > DENSE_CELL_THRESHOLD,
+        "the solve must route to the revised engine"
+    );
+    assert_eq!(lp.start_basis().len(), lp.num_constraints());
+
+    let mut request = Request::from_instance(1, &instance);
+    request.options = Some(SolveOptions {
+        trace: true,
+        ..SolveOptions::default()
+    });
+    let input = format!(
+        "{}\n{{\"id\":{STATS_ID},\"verb\":\"stats\"}}\n",
+        serde_json::to_string(&request).unwrap()
+    );
+    let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
+    let lines: Vec<String> = serve_stdin(&service, &input, &deterministic_pipeline())
+        .lines()
+        .map(str::to_string)
+        .collect();
+    let by_id = response_by_id(&lines);
+    assert_eq!(by_id[&1].get("ok"), Some(&Value::Bool(true)));
+    number(by_id[&1].get("trace").expect("traced"), &["lp_pivots"]);
+    let stats = by_id[&STATS_ID].get("stats").expect("stats object");
+    assert_eq!(number(stats, &["fresh_solves"]) as u64, 1);
+    assert_eq!(number(stats, &["lp", "solves"]) as u64, 1);
+    assert_eq!(
+        number(stats, &["warm_hits"]) as u64,
+        0,
+        "a hinted cold solve must not count as a warm start"
+    );
 }
